@@ -19,9 +19,9 @@
 //!    the engine-backed parallel path (`LivecheckConfig::parallel`),
 //!    whose reports must match the reduced sequential search byte for
 //!    byte regardless of thread count.
-//! 4. **SCC certification** — the per-process cycle certificates,
-//!    sequential vs the embarrassingly parallel rayon fan-out
-//!    (`tm_liveness::scc`), on a synthetic labelled graph.
+//! 4. **SCC certification** — `tm_liveness::certify`, the per-process
+//!    plain and fairness-filtered cycle certificates, on a synthetic
+//!    labelled graph.
 //!
 //! Parallel-speedup caveat: this container is single-core, so the
 //! `*_parallel_ms` columns cannot demonstrate multi-core wins here —
@@ -365,13 +365,11 @@ fn emit_json(_c: &mut Criterion) {
         ]));
     }
 
-    // 4. SCC certification: the per-process pass is embarrassingly
-    // parallel; measure the sequential vs rayon entry points of
-    // tm_liveness::scc on a synthetic labelled graph large enough to
-    // dwarf the fan-out overhead (determinism asserted: the parallel
-    // pass merges in process-id order).
+    // 4. SCC certification: time tm_liveness::certify — the plain and
+    // the fairness-filtered verdicts from one labelling per filter — on
+    // a synthetic labelled graph (fault-free: all crashed masks zero).
     let scc_rows = {
-        use tm_liveness::{certify_cycles, certify_cycles_parallel, CycleEdge};
+        use tm_liveness::{certify, CycleEdge};
         let (nodes, processes) = if test_mode { (500, 4) } else { (20_000, 8) };
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
@@ -403,24 +401,15 @@ fn emit_json(_c: &mut Criterion) {
                     .collect()
             })
             .collect();
+        let crashed = vec![0u64; nodes];
         let seq = best_secs(runs.min(3), || {
-            criterion::black_box(certify_cycles(&graph, processes));
+            criterion::black_box(certify(&graph, &crashed, processes));
         });
-        let par = best_secs(runs.min(3), || {
-            criterion::black_box(certify_cycles_parallel(&graph, processes));
-        });
-        assert_eq!(
-            certify_cycles(&graph, processes),
-            certify_cycles_parallel(&graph, processes),
-            "parallel SCC certificates diverged"
-        );
         vec![Json::Obj(vec![
             ("nodes".into(), Json::Int(nodes as i64)),
             ("edges".into(), Json::Int((nodes * processes) as i64)),
             ("processes".into(), Json::Int(processes as i64)),
             ("scc_seq_ms".into(), Json::Num(seq * 1e3)),
-            ("scc_parallel_ms".into(), Json::Num(par * 1e3)),
-            ("speedup_scc_parallel_vs_seq".into(), Json::Num(seq / par)),
         ])]
     };
 

@@ -16,11 +16,11 @@
 //!   Theorem 2, as per-history conditions plus corpus-level counterexample
 //!   search;
 //! * [`scc`] — certified cycle-existence verdicts (starving / parasitic /
-//!   blocked / progressing) over explored state graphs, by per-process
-//!   Tarjan SCC passes with an embarrassingly parallel rayon entry point,
-//!   plus fairness-filtered variants ([`certify_fair_cycles`]) that keep
-//!   only cycles scheduling every live process infinitely often and
-//!   separate crash-induced from TM-induced starvation;
+//!   blocked / progressing) over explored state graphs. The one entry
+//!   point [`certify`] runs one Tarjan SCC pass per process and shape and
+//!   reads from it both the plain verdict and its fairness-filtered
+//!   counterpart (only cycles scheduling every live process infinitely
+//!   often, with crash-induced starvation told apart from TM-induced);
 //! * [`figures`] — the paper's infinite-history figures (5, 6, 7, 9, 10,
 //!   12, 13, 14) as ready-made lassos.
 //!
@@ -53,7 +53,4 @@ pub use meta::{satisfies_biprogressing_condition, satisfies_nonblocking_conditio
 pub use properties::{
     GlobalProgress, LocalProgress, PriorityProgress, SoloProgress, TmLivenessProperty,
 };
-pub use scc::{
-    certify_cycles, certify_cycles_parallel, certify_fair_cycles, CycleEdge, FairProcessVerdicts,
-    ProcessCycleVerdicts,
-};
+pub use scc::{certify, CycleEdge, FairProcessVerdicts, ProcessCycleVerdicts};

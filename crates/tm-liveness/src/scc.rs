@@ -9,13 +9,17 @@
 //! an edge lies on a cycle of a filtered graph iff both endpoints share
 //! an SCC.
 //!
-//! Per-process queries are independent — each runs its own four Tarjan
-//! passes over read-only edges — so the pass is embarrassingly parallel:
-//! [`certify_cycles_parallel`] fans the processes over the rayon pool
-//! and merges verdicts in process-id order, making it verdict-identical
-//! to the sequential [`certify_cycles`] regardless of thread count.
+//! [`certify`] is the one entry point. It labels the unrestricted graph
+//! once (for the `progressing` claims) and then, per process and per
+//! recurring shape — starving, parasitic, blocked — labels the
+//! shape's filtered graph once and reads *both* verdicts off that one
+//! labelling: the plain flag ([`ProcessCycleVerdicts`]: some want edge
+//! is intra-component) and the fairness-filtered flags
+//! ([`FairProcessVerdicts`]: some such component also schedules every
+//! live process). With `n` processes that is `1 + 3n` Tarjan passes.
+//! The passes run sequentially: on the checker's graphs, fanning the
+//! processes over a thread pool bought no wall time and cost memory.
 
-use rayon::prelude::*;
 use tm_core::ProcessId;
 
 /// One labelled edge of an explored configuration graph, in the compact
@@ -147,40 +151,6 @@ pub fn cycle_edge_exists(
     })
 }
 
-/// The four certificates of one process: `full` is the SCC labelling of
-/// the unrestricted graph (shared across processes — only the
-/// `progressing` claim uses it).
-fn verdicts_for(graph: &[Vec<CycleEdge>], full: &[u32], k: usize) -> ProcessCycleVerdicts {
-    let p = u8::try_from(k).expect("≤ 64 processes");
-    let progressing = graph.iter().enumerate().any(|(u, edges)| {
-        edges
-            .iter()
-            .any(|e| e.process == p && e.committed && full[u] == full[e.target as usize])
-    });
-    let starving = cycle_edge_exists(
-        graph,
-        |e| !(e.process == p && e.committed),
-        |e| e.process == p && e.aborted,
-    );
-    let parasitic = cycle_edge_exists(
-        graph,
-        |e| !(e.process == p && (e.committed || e.aborted || e.tryc)),
-        |e| e.process == p && e.events > 0,
-    );
-    let blocked = cycle_edge_exists(
-        graph,
-        |e| !(e.process == p && e.events > 0),
-        |e| e.process == p && e.events == 0,
-    );
-    ProcessCycleVerdicts {
-        process: ProcessId(k),
-        progressing,
-        starving,
-        parasitic,
-        blocked,
-    }
-}
-
 /// Fairness-filtered cycle-existence verdicts for one process.
 ///
 /// The plain [`ProcessCycleVerdicts`] quantify over *all* cycles — a
@@ -210,30 +180,42 @@ pub struct FairProcessVerdicts {
     pub crash_victim: bool,
 }
 
-/// Whether some `keep`-restricted SCC contains a `want` edge of the
-/// process *and* intra-component edges of every live process — the exact
+/// The verdicts one shape's filtered graph yields: the plain
+/// existential claim, its fairness-filtered strengthening, and whether a
+/// fair witness runs where some process has crashed.
+#[derive(Debug, Clone, Copy, Default)]
+struct ShapeVerdict {
+    any: bool,
+    fair: bool,
+    crash_victim: bool,
+}
+
+/// Labels the `keep`-restricted graph once and decides, from that one
+/// labelling, whether some component contains an intra-component `want`
+/// edge (`any`), and whether some such component also has
+/// intra-component kept edges of every live process (`fair`) — the exact
 /// criterion for a **fair** cycle with the wanted recurring shape.
 ///
-/// Soundness and completeness both follow from strong connectivity: any
-/// fair cycle lies inside one SCC of the kept graph and contributes an
-/// intra-component edge per live process plus the recurring want edge;
-/// conversely, given those edges, strong connectivity stitches them into
-/// one closed walk that schedules every live process and repeats the
-/// want edge infinitely often.
+/// Soundness and completeness of `fair` both follow from strong
+/// connectivity: any fair cycle lies inside one SCC of the kept graph and
+/// contributes an intra-component edge per live process plus the
+/// recurring want edge; conversely, given those edges, strong
+/// connectivity stitches them into one closed walk that schedules every
+/// live process and repeats the want edge infinitely often.
 ///
 /// `crashed` gives the per-node crashed-process mask (all zeros for a
 /// fault-free graph). Fault masks only grow along edges, so every node
 /// of a cycle-bearing SCC carries the same mask; processes crashed in a
-/// component are exempt from its fairness obligation. Returns the
-/// verdict and whether some witnessing component has a non-empty
+/// component are exempt from its fairness obligation. `crash_victim`
+/// reports whether some fair witnessing component has a non-empty
 /// crashed mask.
-fn fair_cycle_exists(
+fn shape_verdict(
     graph: &[Vec<CycleEdge>],
     crashed: &[u64],
-    processes: usize,
+    live_mask: u64,
     keep: impl Fn(&CycleEdge) -> bool + Copy,
     want: impl Fn(&CycleEdge) -> bool,
-) -> (bool, bool) {
+) -> ShapeVerdict {
     let comp = sccs(graph, keep);
     let ncomp = comp.iter().copied().max().map_or(0, |c| c as usize + 1);
     // Per component: which processes have a kept intra-component edge,
@@ -254,108 +236,92 @@ fn fair_cycle_exists(
             }
         }
     }
+    let mut verdict = ShapeVerdict::default();
+    for c in 0..ncomp {
+        if !want_hit[c] {
+            continue;
+        }
+        verdict.any = true;
+        if (scheduled[c] | comp_crashed[c]) & live_mask == live_mask {
+            verdict.fair = true;
+            verdict.crash_victim |= comp_crashed[c] != 0;
+        }
+    }
+    verdict
+}
+
+/// Certifies cycle existence for every process over the explored graph:
+/// the plain starving/parasitic/blocked/progressing verdicts and their
+/// fairness-filtered counterparts (see the module docs). `crashed[u]` is
+/// the crashed-process mask at node `u` (all zeros for a fault-free
+/// graph); crashed processes are exempt from the fairness obligation of
+/// the components they crashed in.
+///
+/// Each fair verdict is derived from the same filtered labelling as the
+/// plain one, so `fair.starving → plain.starving` etc. by construction.
+///
+/// # Panics
+///
+/// If `crashed` is not one mask per graph node.
+pub fn certify(
+    graph: &[Vec<CycleEdge>],
+    crashed: &[u64],
+    processes: usize,
+) -> (Vec<ProcessCycleVerdicts>, Vec<FairProcessVerdicts>) {
+    assert_eq!(crashed.len(), graph.len(), "one crashed mask per node");
     let live_mask = if processes >= 64 {
         u64::MAX
     } else {
         (1u64 << processes) - 1
     };
-    let mut holds = false;
-    let mut victim = false;
-    for c in 0..ncomp {
-        let fair = want_hit[c] && (scheduled[c] | comp_crashed[c]) & live_mask == live_mask;
-        holds |= fair;
-        victim |= fair && comp_crashed[c] != 0;
-    }
-    (holds, victim)
-}
-
-/// The three fairness-filtered certificates of one process (see
-/// [`FairProcessVerdicts`]). The filters are exactly those of the unfair
-/// verdicts, so `fair.starving → unfair.starving` etc. by construction.
-fn fair_verdicts_for(
-    graph: &[Vec<CycleEdge>],
-    crashed: &[u64],
-    processes: usize,
-    k: usize,
-) -> FairProcessVerdicts {
-    let p = u8::try_from(k).expect("≤ 64 processes");
-    let (starving, starve_crash) = fair_cycle_exists(
-        graph,
-        crashed,
-        processes,
-        |e| !(e.process == p && e.committed),
-        |e| e.process == p && e.aborted,
-    );
-    let (parasitic, _) = fair_cycle_exists(
-        graph,
-        crashed,
-        processes,
-        |e| !(e.process == p && (e.committed || e.aborted || e.tryc)),
-        |e| e.process == p && e.events > 0,
-    );
-    let (blocked, block_crash) = fair_cycle_exists(
-        graph,
-        crashed,
-        processes,
-        |e| !(e.process == p && e.events > 0),
-        |e| e.process == p && e.events == 0,
-    );
-    FairProcessVerdicts {
-        process: ProcessId(k),
-        starving,
-        parasitic,
-        blocked,
-        crash_victim: starve_crash || block_crash,
-    }
-}
-
-/// Certifies fair starving/parasitic/blocked cycle existence for every
-/// process over the explored graph. `crashed[u]` is the crashed-process
-/// mask at node `u` (all zeros for a fault-free graph); crashed
-/// processes are exempt from the fairness obligation of the components
-/// they crashed in.
-///
-/// Runs sequentially in both checker paths: the per-process passes cost
-/// the same as [`certify_cycles`] and determinism is free.
-///
-/// # Panics
-///
-/// If `crashed` is not one mask per graph node.
-pub fn certify_fair_cycles(
-    graph: &[Vec<CycleEdge>],
-    crashed: &[u64],
-    processes: usize,
-) -> Vec<FairProcessVerdicts> {
-    assert_eq!(crashed.len(), graph.len(), "one crashed mask per node");
-    (0..processes)
-        .map(|k| fair_verdicts_for(graph, crashed, processes, k))
-        .collect()
-}
-
-/// Certifies starving/parasitic/blocked/progressing cycle existence for
-/// every process over the explored graph, sequentially.
-pub fn certify_cycles(graph: &[Vec<CycleEdge>], processes: usize) -> Vec<ProcessCycleVerdicts> {
     let full = sccs(graph, |_| true);
     (0..processes)
-        .map(|k| verdicts_for(graph, &full, k))
-        .collect()
-}
-
-/// [`certify_cycles`] with the per-process passes fanned over the rayon
-/// pool. Per-process certificates read the graph immutably and share
-/// only the full-graph SCC labelling, so the fan-out is embarrassingly
-/// parallel; verdicts merge in process-id order and are identical to
-/// the sequential pass regardless of thread count.
-pub fn certify_cycles_parallel(
-    graph: &[Vec<CycleEdge>],
-    processes: usize,
-) -> Vec<ProcessCycleVerdicts> {
-    let full = sccs(graph, |_| true);
-    (0..processes)
-        .collect::<Vec<_>>()
-        .into_par_iter()
-        .map(|k| verdicts_for(graph, &full, k))
-        .collect()
+        .map(|k| {
+            let p = u8::try_from(k).expect("≤ 64 processes");
+            let progressing = graph.iter().enumerate().any(|(u, edges)| {
+                edges
+                    .iter()
+                    .any(|e| e.process == p && e.committed && full[u] == full[e.target as usize])
+            });
+            let starving = shape_verdict(
+                graph,
+                crashed,
+                live_mask,
+                |e| !(e.process == p && e.committed),
+                |e| e.process == p && e.aborted,
+            );
+            let parasitic = shape_verdict(
+                graph,
+                crashed,
+                live_mask,
+                |e| !(e.process == p && (e.committed || e.aborted || e.tryc)),
+                |e| e.process == p && e.events > 0,
+            );
+            let blocked = shape_verdict(
+                graph,
+                crashed,
+                live_mask,
+                |e| !(e.process == p && e.events > 0),
+                |e| e.process == p && e.events == 0,
+            );
+            (
+                ProcessCycleVerdicts {
+                    process: ProcessId(k),
+                    progressing,
+                    starving: starving.any,
+                    parasitic: parasitic.any,
+                    blocked: blocked.any,
+                },
+                FairProcessVerdicts {
+                    process: ProcessId(k),
+                    starving: starving.fair,
+                    parasitic: parasitic.fair,
+                    blocked: blocked.fair,
+                    crash_victim: starving.crash_victim || blocked.crash_victim,
+                },
+            )
+        })
+        .unzip()
 }
 
 #[cfg(test)]
@@ -373,6 +339,18 @@ mod tests {
         }
     }
 
+    fn plain_verdicts(graph: &[Vec<CycleEdge>], processes: usize) -> Vec<ProcessCycleVerdicts> {
+        certify(graph, &vec![0; graph.len()], processes).0
+    }
+
+    fn fair_verdicts(
+        graph: &[Vec<CycleEdge>],
+        crashed: &[u64],
+        processes: usize,
+    ) -> Vec<FairProcessVerdicts> {
+        certify(graph, crashed, processes).1
+    }
+
     /// Two nodes in a loop: p0 commits around the cycle, p1 aborts
     /// around it.
     fn starving_graph() -> Vec<Vec<CycleEdge>> {
@@ -382,7 +360,7 @@ mod tests {
     #[test]
     fn starving_and_progressing_are_certified() {
         let graph = starving_graph();
-        let verdicts = certify_cycles(&graph, 2);
+        let verdicts = plain_verdicts(&graph, 2);
         assert!(verdicts[0].progressing && !verdicts[0].starving);
         assert!(verdicts[1].starving && !verdicts[1].progressing);
     }
@@ -391,7 +369,7 @@ mod tests {
     fn deleting_the_cycle_edge_kills_the_verdict() {
         // A dead-end tail: no cycles at all.
         let graph = vec![vec![edge(1, 0, true, false)], vec![]];
-        let verdicts = certify_cycles(&graph, 2);
+        let verdicts = plain_verdicts(&graph, 2);
         assert!(verdicts.iter().all(|v| !v.progressing && !v.starving));
     }
 
@@ -408,20 +386,185 @@ mod tests {
             aborted: false,
             tryc: false,
         });
-        let verdicts = certify_cycles(&graph, 2);
+        let verdicts = plain_verdicts(&graph, 2);
         assert!(verdicts[1].blocked);
         assert!(!verdicts[0].blocked);
     }
 
-    #[test]
-    fn parallel_certification_is_identical() {
-        let graph = starving_graph();
-        for processes in [1, 2] {
-            assert_eq!(
-                certify_cycles(&graph, processes),
-                certify_cycles_parallel(&graph, processes)
-            );
+    /// The shape filters of `certify`, restated: `(keep, want)` for
+    /// starving, parasitic and blocked.
+    type Filter = fn(&CycleEdge, u8) -> bool;
+    const SHAPES: [(Filter, Filter); 3] = [
+        (
+            |e, p| !(e.process == p && e.committed),
+            |e, p| e.process == p && e.aborted,
+        ),
+        (
+            |e, p| !(e.process == p && (e.committed || e.aborted || e.tryc)),
+            |e, p| e.process == p && e.events > 0,
+        ),
+        (
+            |e, p| !(e.process == p && e.events > 0),
+            |e, p| e.process == p && e.events == 0,
+        ),
+    ];
+
+    /// Reflexive reachability over the kept edges, by DFS from every node.
+    fn reach(graph: &[Vec<CycleEdge>], keep: impl Fn(&CycleEdge) -> bool) -> Vec<Vec<bool>> {
+        (0..graph.len())
+            .map(|root| {
+                let mut seen = vec![false; graph.len()];
+                let mut stack = vec![root];
+                seen[root] = true;
+                while let Some(u) = stack.pop() {
+                    for e in graph[u].iter().filter(|e| keep(e)) {
+                        let v = e.target as usize;
+                        if !seen[v] {
+                            seen[v] = true;
+                            stack.push(v);
+                        }
+                    }
+                }
+                seen
+            })
+            .collect()
+    }
+
+    /// The naive fair check: for every kept want edge on a cycle, collect
+    /// its strongly connected node set by mutual reachability and ask
+    /// whether that set schedules (or has crashed) every live process.
+    /// Returns `(fair, crash_victim)`.
+    fn naive_fair(
+        graph: &[Vec<CycleEdge>],
+        crashed: &[u64],
+        processes: usize,
+        keep: impl Fn(&CycleEdge) -> bool + Copy,
+        want: impl Fn(&CycleEdge) -> bool,
+    ) -> (bool, bool) {
+        let r = reach(graph, keep);
+        let live = (1u64 << processes) - 1;
+        let (mut fair, mut victim) = (false, false);
+        for (u, edges) in graph.iter().enumerate() {
+            for e in edges {
+                let v = e.target as usize;
+                if !(keep(e) && want(e) && r[v][u]) {
+                    continue;
+                }
+                let member = |x: usize| r[u][x] && r[x][u];
+                let mut scheduled = 0u64;
+                let mut dead = 0u64;
+                for (x, out) in graph.iter().enumerate().filter(|&(x, _)| member(x)) {
+                    dead |= crashed[x];
+                    for f in out {
+                        if keep(f) && member(f.target as usize) {
+                            scheduled |= 1 << f.process;
+                        }
+                    }
+                }
+                if (scheduled | dead) & live == live {
+                    fair = true;
+                    victim |= dead != 0;
+                }
+            }
         }
+        (fair, victim)
+    }
+
+    /// A seeded random graph shaped like a fault-prone state graph:
+    /// crashed masks only grow along edges and crashed processes take
+    /// no steps.
+    fn random_graph(seed: u64, processes: usize) -> (Vec<Vec<CycleEdge>>, Vec<u64>) {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |bound: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % bound
+        };
+        let n = 1 + next(10) as usize;
+        let crashed: Vec<u64> = (0..n)
+            .map(|_| match next(4) {
+                0 => 1 << next(processes as u64),
+                _ => 0,
+            })
+            .collect();
+        let mut graph = vec![Vec::new(); n];
+        for _ in 0..next(4 * n as u64 + 1) {
+            let (u, v) = (next(n as u64) as usize, next(n as u64) as usize);
+            let process = next(processes as u64) as u8;
+            if crashed[u] & !crashed[v] != 0 || crashed[u] & 1 << process != 0 {
+                continue;
+            }
+            let (events, committed, aborted, tryc) = match next(5) {
+                0 => (0, false, false, false),
+                1 => (1, false, false, false),
+                2 => (2, true, false, true),
+                3 => (2, false, true, next(2) == 0),
+                _ => (1, false, false, true),
+            };
+            graph[u].push(CycleEdge {
+                target: v as u32,
+                process,
+                events,
+                committed,
+                aborted,
+                tryc,
+            });
+        }
+        (graph, crashed)
+    }
+
+    #[test]
+    fn certify_matches_a_per_filter_oracle_on_random_graphs() {
+        let mut fair_hits = 0;
+        for seed in 0..600u64 {
+            let processes = 1 + (seed % 3) as usize;
+            let (graph, crashed) = random_graph(seed, processes);
+            let (plain, fair) = certify(&graph, &crashed, processes);
+            assert_eq!((plain.len(), fair.len()), (processes, processes));
+            for k in 0..processes {
+                let p = k as u8;
+                let oracle: Vec<(bool, (bool, bool))> = SHAPES
+                    .iter()
+                    .map(|&(keep, want)| {
+                        let keep = move |e: &CycleEdge| keep(e, p);
+                        let want = move |e: &CycleEdge| want(e, p);
+                        (
+                            cycle_edge_exists(&graph, keep, want),
+                            naive_fair(&graph, &crashed, processes, keep, want),
+                        )
+                    })
+                    .collect();
+                let progressing =
+                    cycle_edge_exists(&graph, |_| true, |e| e.process == p && e.committed);
+                let ctx = format!("seed {seed}, process {k}: {graph:?} {crashed:?}");
+                assert_eq!(
+                    plain[k],
+                    ProcessCycleVerdicts {
+                        process: ProcessId(k),
+                        progressing,
+                        starving: oracle[0].0,
+                        parasitic: oracle[1].0,
+                        blocked: oracle[2].0,
+                    },
+                    "{ctx}"
+                );
+                assert_eq!(
+                    fair[k],
+                    FairProcessVerdicts {
+                        process: ProcessId(k),
+                        starving: oracle[0].1 .0,
+                        parasitic: oracle[1].1 .0,
+                        blocked: oracle[2].1 .0,
+                        crash_victim: oracle[0].1 .1 || oracle[2].1 .1,
+                    },
+                    "{ctx}"
+                );
+                fair_hits += usize::from(fair[k].starving || fair[k].blocked);
+            }
+        }
+        // The generator must actually produce fair witnesses.
+        assert!(fair_hits > 20, "only {fair_hits} fair witnesses");
     }
 
     #[test]
@@ -429,16 +572,16 @@ mod tests {
         // Both processes scheduled around the loop: p1's starvation
         // survives the fairness filter and is not crash-induced.
         let graph = starving_graph();
-        let fair = certify_fair_cycles(&graph, &[0, 0], 2);
+        let fair = fair_verdicts(&graph, &[0, 0], 2);
         assert!(fair[1].starving && !fair[1].crash_victim);
         assert!(!fair[0].starving);
 
         // A self-loop aborting p1 while p0 is never scheduled: p1
         // starves unfairly (the scheduler abandons p0) but NOT fairly.
         let abandoned = vec![vec![edge(0, 1, false, true)]];
-        let unfair = certify_cycles(&abandoned, 2);
+        let unfair = plain_verdicts(&abandoned, 2);
         assert!(unfair[1].starving);
-        let fair = certify_fair_cycles(&abandoned, &[0], 2);
+        let fair = fair_verdicts(&abandoned, &[0], 2);
         assert!(!fair[1].starving);
     }
 
@@ -448,12 +591,12 @@ mod tests {
         // around the loop alone. Fairness no longer owes p0 a slot, so
         // the starvation is certified fair — and crash-induced.
         let graph = vec![vec![edge(1, 1, false, true)], vec![edge(0, 1, false, true)]];
-        let fair = certify_fair_cycles(&graph, &[1, 1], 2);
+        let fair = fair_verdicts(&graph, &[1, 1], 2);
         assert!(fair[1].starving);
         assert!(fair[1].crash_victim);
 
         // The same graph with nobody crashed: unfair only.
-        let fair = certify_fair_cycles(&graph, &[0, 0], 2);
+        let fair = fair_verdicts(&graph, &[0, 0], 2);
         assert!(!fair[1].starving);
     }
 
@@ -471,15 +614,15 @@ mod tests {
             tryc: false,
         };
         let graph = vec![vec![edge(0, 0, true, false), eventless(0)]];
-        let fair = certify_fair_cycles(&graph, &[0], 2);
+        let fair = fair_verdicts(&graph, &[0], 2);
         assert!(fair[1].blocked && !fair[1].crash_victim);
         // Fair implies unfair by construction.
-        assert!(certify_cycles(&graph, 2)[1].blocked);
+        assert!(plain_verdicts(&graph, 2)[1].blocked);
 
         // Without p0's self-loop the same poll cycle abandons p0: the
         // unfair verdict stays, the fair one falls.
         let lonely = vec![vec![eventless(0)]];
-        assert!(certify_cycles(&lonely, 2)[1].blocked);
-        assert!(!certify_fair_cycles(&lonely, &[0], 2)[1].blocked);
+        assert!(plain_verdicts(&lonely, 2)[1].blocked);
+        assert!(!fair_verdicts(&lonely, &[0], 2)[1].blocked);
     }
 }

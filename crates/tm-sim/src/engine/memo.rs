@@ -10,17 +10,26 @@
 //!   rayon workers for cross-subtree hits, at stripe-lock cost. Sound
 //!   because digests are thread-agnostic: a memoized value is exact
 //!   wherever it was computed.
+//!
+//! Keys are already digests, so every table hashes them with the cheap
+//! seedless [`StableHasher`] rather than the standard library's
+//! DoS-resistant SipHash.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, Mutex};
+
+use tm_core::StableHasher;
+
+/// A hash map keyed on configuration digests.
+type DigestMap<K, V> = HashMap<K, V, BuildHasherDefault<StableHasher>>;
 
 /// A sharded, lock-striped concurrent map: each key hashes to one of 64
 /// shards and operations take only that shard's lock, so concurrent
 /// workers contend per stripe, not per table.
 #[derive(Debug)]
 pub struct StripedTable<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
+    shards: Vec<Mutex<DigestMap<K, V>>>,
 }
 
 impl<K: Hash + Eq, V: Copy> StripedTable<K, V> {
@@ -31,16 +40,17 @@ impl<K: Hash + Eq, V: Copy> StripedTable<K, V> {
     pub fn new() -> Self {
         StripedTable {
             shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(DigestMap::default()))
                 .collect(),
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V>> {
-        let mut h = tm_core::StableHasher::new();
+    fn shard(&self, key: &K) -> &Mutex<DigestMap<K, V>> {
+        let mut h = StableHasher::new();
         key.hash(&mut h);
-        use std::hash::Hasher;
-        &self.shards[(h.finish() % Self::SHARDS as u64) as usize]
+        // The stripe's own map indexes by the low bits and tags by the
+        // top seven, so pick the stripe from bits neither uses.
+        &self.shards[((h.finish() >> 32) % Self::SHARDS as u64) as usize]
     }
 
     /// Looks `key` up in its stripe.
@@ -78,7 +88,7 @@ pub struct SeenSet<K, V> {
 
 #[derive(Debug)]
 enum SeenBackend<K, V> {
-    Local(HashMap<K, V>),
+    Local(DigestMap<K, V>),
     Shared(Arc<StripedTable<K, V>>),
 }
 
@@ -87,7 +97,7 @@ impl<K: Hash + Eq, V: Copy> SeenSet<K, V> {
     pub fn new(enabled: bool) -> Self {
         SeenSet {
             enabled,
-            backend: SeenBackend::Local(HashMap::new()),
+            backend: SeenBackend::Local(DigestMap::default()),
         }
     }
 
@@ -130,14 +140,14 @@ impl<K: Hash + Eq, V: Copy> SeenSet<K, V> {
 /// regardless of thread count.
 #[derive(Debug, Default)]
 pub struct Interner<K> {
-    ids: HashMap<K, u32>,
+    ids: DigestMap<K, u32>,
 }
 
 impl<K: Hash + Eq> Interner<K> {
     /// An empty interner.
     pub fn new() -> Self {
         Interner {
-            ids: HashMap::new(),
+            ids: DigestMap::default(),
         }
     }
 

@@ -69,7 +69,9 @@
 //! edge once, replay re-walks) is the liveness checker's analogue; it
 //! lives with the graph structures in [`crate::livecheck`].
 
-use tm_core::{Invocation, ProcessId, TVarId};
+use std::hash::Hasher;
+
+use tm_core::{Invocation, ProcessId, StableHasher, TVarId};
 use tm_stm::{BoxedTm, StepFootprint, SteppedTm};
 
 use crate::workload::Client;
@@ -446,29 +448,23 @@ impl WakeupTree {
         true
     }
 
-    /// Order-sensitive structural digest (FNV-1a over a preorder walk),
-    /// for the dedup seen-set key: two nodes with equal configuration
-    /// digests but different pending reversals must not share a
-    /// memoized subtree summary.
+    /// Order-sensitive structural digest (a [`StableHasher`] fed a
+    /// preorder walk), for the dedup seen-set key: two nodes with equal
+    /// configuration digests but different pending reversals must not
+    /// share a memoized subtree summary.
     pub(crate) fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = StableHasher::new();
         self.digest_into(&mut h);
-        h
+        h.finish()
     }
 
-    fn digest_into(&self, h: &mut u64) {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, v: u64) {
-            *h ^= v;
-            *h = h.wrapping_mul(PRIME);
-        }
-        mix(h, self.edges.len() as u64);
+    fn digest_into(&self, h: &mut StableHasher) {
+        h.write_usize(self.edges.len());
         for edge in &self.edges {
-            mix(h, u64::from(edge.proc) | 0x100);
-            mix(h, edge.foot.var_reads);
-            mix(h, edge.foot.var_writes);
-            mix(
-                h,
+            h.write_u64(u64::from(edge.proc) | 0x100);
+            h.write_u64(edge.foot.var_reads);
+            h.write_u64(edge.foot.var_writes);
+            h.write_u64(
                 u64::from(edge.foot.global_read)
                     | u64::from(edge.foot.global_write) << 1
                     | u64::from(edge.foot.ends) << 2

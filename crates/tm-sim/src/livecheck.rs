@@ -67,10 +67,12 @@
 //! edges, so the certificate is "no such cycle within the bound", the
 //! standard bounded-model-checking guarantee.
 //! [`LivecheckReport::lasso_starvation_free`] is the resulting per-TM
-//! certificate. The per-process certificates are independent Tarjan
-//! passes over a read-only graph — embarrassingly parallel — and run on
-//! the rayon pool ([`tm_liveness::certify_cycles_parallel`], verdicts
-//! merged in process-id order) when [`LivecheckConfig::parallel`] is on.
+//! certificate. Both search paths hand the recorded graph to the one
+//! entry point [`tm_liveness::certify`], which labels each process's
+//! three filtered graphs once apiece and reads the plain verdicts and
+//! their fairness-filtered counterparts
+//! ([`LivecheckReport::fair_verdicts`]) off the same labelling. It runs
+//! sequentially.
 //!
 //! # Parasitic processes
 //!
@@ -162,7 +164,8 @@
 //! [`crate::engine::memo::Interner`], and the parallel frontier is the
 //! kernel's deterministic [`crate::engine::frontier::distribute`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::num::NonZeroU32;
 
 use tm_core::{digest_of, Event, Invocation, ProcessId, Value};
 use tm_liveness::{classify, detect::lasso_from_cycle, CycleEdge, InfiniteHistory, ProcessClass};
@@ -198,10 +201,11 @@ pub struct LivecheckConfig {
     /// runs level-synchronously on the rayon pool with every TM
     /// transition executed exactly once, then lasso detection replays
     /// the sequential DFS over the recorded graph and the SCC
-    /// certificates fan out per process. Reports are byte-identical to
-    /// the sequential `reduce` search regardless of thread count
-    /// (`parallel` implies the reduction's execution discipline; states,
-    /// edges, lassos and verdicts also match the unreduced search).
+    /// certificates run as in the sequential search. Reports are
+    /// byte-identical to the sequential `reduce` search regardless of
+    /// thread count (`parallel` implies the reduction's execution
+    /// discipline; states, edges, lassos and verdicts also match the
+    /// unreduced search).
     pub parallel: bool,
     /// Bitmask of processes that never invoke `tryC` (loop their
     /// operations forever): the paper's parasitic processes.
@@ -261,8 +265,8 @@ impl LivecheckConfig {
         self
     }
 
-    /// Enables the parallel lasso search (rayon graph construction +
-    /// parallel SCC certification, byte-identical reports).
+    /// Enables the parallel lasso search (rayon graph construction,
+    /// byte-identical reports).
     pub fn with_parallel(mut self) -> Self {
         self.parallel = true;
         self
@@ -371,7 +375,8 @@ pub struct LivecheckReport {
     pub truncated: bool,
     /// Certified per-process cycle-existence verdicts.
     pub verdicts: Vec<ProcessCycleVerdicts>,
-    /// Fairness-filtered verdicts ([`tm_liveness::certify_fair_cycles`]):
+    /// Fairness-filtered verdicts (from the same [`tm_liveness::certify`]
+    /// pass as [`LivecheckReport::verdicts`]):
     /// cycle existence restricted to cycles scheduling every live
     /// process infinitely often, separating scheduler-abandoned shapes
     /// (unfair: the plain verdict holds, the fair one does not),
@@ -512,12 +517,17 @@ struct Edge {
     events: [Option<Event>; 2],
 }
 
-/// One interned configuration.
+/// One interned configuration. The two per-walk slots are packed into
+/// `Option<NonZeroU32>`s (4 bytes each, `None` in the niche), so a node
+/// stays at 56 bytes.
 #[derive(Default)]
 struct Node {
     /// Largest remaining budget this node has been expanded with
-    /// (`None` = frontier: interned but never expanded).
-    budget: Option<usize>,
+    /// (`None` = frontier: interned but never expanded). Expansions
+    /// always have `remaining ≥ 1`.
+    budget: Option<NonZeroU32>,
+    /// `Some(i + 1)` while the node is on the DFS path at `frames[i]`.
+    path_slot: Option<NonZeroU32>,
     /// Outgoing edges, recorded on first expansion (stepping is
     /// deterministic, so re-expansions would record the same edges).
     edges: Vec<Edge>,
@@ -530,6 +540,24 @@ struct Node {
     /// it without re-executing the path to it. Taken (and dropped) on
     /// first expansion — after that the recorded edges carry everything.
     parked_tm: Option<BoxedTm>,
+}
+
+impl Node {
+    /// Whether the node was already expanded with at least `remaining`
+    /// budget.
+    fn explored_with(&self, remaining: usize) -> bool {
+        self.budget.is_some_and(|b| b.get() as usize >= remaining)
+    }
+
+    /// The index of the node's DFS frame, while it is on the path.
+    fn frame(&self) -> Option<usize> {
+        self.path_slot.map(|slot| slot.get() as usize - 1)
+    }
+}
+
+/// `Some(n)` for `n ≥ 1` (a budget or a 1-based frame slot).
+fn slot(n: usize) -> Option<NonZeroU32> {
+    NonZeroU32::new(u32::try_from(n).expect("search depth fits in u32"))
 }
 
 /// A node currently on the DFS path.
@@ -654,7 +682,6 @@ struct Search<'a> {
     config: &'a LivecheckConfig,
     space: GraphSpace,
     frames: Vec<Frame>,
-    on_path: HashMap<u32, usize>,
     /// Node identity: `(TM digest, clients digest, fault-state key)` —
     /// the same TM/client state under different crash/parasitic masks
     /// has different futures and must be a different node.
@@ -749,8 +776,9 @@ impl Search<'_> {
         }
         let replay = self.reduce && !self.nodes[id as usize].edges.is_empty();
         let record = self.nodes[id as usize].edges.is_empty();
-        self.nodes[id as usize].budget = Some(remaining);
-        self.on_path.insert(id, self.frames.len());
+        let node = &mut self.nodes[id as usize];
+        node.budget = slot(remaining);
+        node.path_slot = slot(self.frames.len() + 1);
         self.frames.push(Frame {
             history_len: self.space.history.len(),
             sched_len: self.space.sched.len(),
@@ -813,7 +841,7 @@ impl Search<'_> {
             kept
         };
         self.frames.pop();
-        self.on_path.remove(&id);
+        self.nodes[id as usize].path_slot = None;
         tm
     }
 
@@ -846,13 +874,10 @@ impl Search<'_> {
         }
         let mut tm = Some(tm);
         let mut expanded = false;
-        if let Some(&frame) = self.on_path.get(&child) {
+        if let Some(frame) = self.nodes[child as usize].frame() {
             self.record_cycle(frame);
         } else if remaining > 1 {
-            let explored = self.nodes[child as usize]
-                .budget
-                .is_some_and(|b| b >= remaining - 1);
-            if explored {
+            if self.nodes[child as usize].explored_with(remaining - 1) {
                 self.dedup_hits += 1;
             } else {
                 // The recursion may itself park the box on a deeper
@@ -867,10 +892,7 @@ impl Search<'_> {
         // graph without re-executing the path to it.
         if self.reduce && !expanded {
             let node = &mut self.nodes[child as usize];
-            if node.edges.is_empty()
-                && node.parked_tm.is_none()
-                && !self.on_path.contains_key(&child)
-            {
+            if node.edges.is_empty() && node.parked_tm.is_none() && node.path_slot.is_none() {
                 node.parked_tm = tm.take();
             }
         }
@@ -919,16 +941,13 @@ impl Search<'_> {
             });
         }
         debug_assert!(
-            !self.on_path.contains_key(&child),
+            self.nodes[child as usize].path_slot.is_none(),
             "fault masks grow strictly along edges — a fault edge cannot close a cycle"
         );
         let mut tm = Some(tm);
         let mut expanded = false;
         if remaining > 1 {
-            let explored = self.nodes[child as usize]
-                .budget
-                .is_some_and(|b| b >= remaining - 1);
-            if explored {
+            if self.nodes[child as usize].explored_with(remaining - 1) {
                 self.dedup_hits += 1;
             } else {
                 tm = self.expand(tm, child, remaining - 1);
@@ -939,10 +958,7 @@ impl Search<'_> {
         self.space.fstate = saved;
         if self.reduce && !expanded {
             let node = &mut self.nodes[child as usize];
-            if node.edges.is_empty()
-                && node.parked_tm.is_none()
-                && !self.on_path.contains_key(&child)
-            {
+            if node.edges.is_empty() && node.parked_tm.is_none() && node.path_slot.is_none() {
                 node.parked_tm = tm.take();
             }
         }
@@ -961,7 +977,7 @@ impl Search<'_> {
                 let mark = self.space.mark(k);
                 self.space.replay(k, &edge.events);
                 self.replayed += 1;
-                if let Some(&frame) = self.on_path.get(&child) {
+                if let Some(frame) = self.nodes[child as usize].frame() {
                     self.record_cycle(frame);
                 } else if remaining > 1 {
                     self.replay_descend(child, remaining);
@@ -1006,10 +1022,7 @@ impl Search<'_> {
     /// frontier from the tripped original walk — leave it unexpanded;
     /// the report is partial either way.
     fn replay_descend(&mut self, child: u32, remaining: usize) {
-        let explored = self.nodes[child as usize]
-            .budget
-            .is_some_and(|b| b >= remaining - 1);
-        if explored {
+        if self.nodes[child as usize].explored_with(remaining - 1) {
             self.dedup_hits += 1;
             return;
         }
@@ -1104,8 +1117,8 @@ impl Search<'_> {
     }
 
     /// Assembles the report: counters, findings, and the SCC-certified
-    /// verdicts (fanned over the rayon pool when `parallel`).
-    fn into_report(mut self, tm: String, depth: usize, parallel: bool) -> LivecheckReport {
+    /// verdicts.
+    fn into_report(mut self, tm: String, depth: usize) -> LivecheckReport {
         // The pool normally flushes its fork tallies at drop, which is
         // after the counter_snapshot below — flush now so the emitted
         // snapshot carries the complete run.
@@ -1138,14 +1151,8 @@ impl Search<'_> {
         let telemetry = self.config.telemetry.clone();
         let (verdicts, fair_verdicts) = {
             let _span = telemetry.phase("livecheck", "scc_certify");
-            let verdicts = if parallel {
-                tm_liveness::certify_cycles_parallel(&graph, processes)
-            } else {
-                tm_liveness::certify_cycles(&graph, processes)
-            };
             let crashed: Vec<u64> = self.nodes.iter().map(|n| n.crashed).collect();
-            let fair = tm_liveness::certify_fair_cycles(&graph, &crashed, processes);
-            (verdicts, fair)
+            tm_liveness::certify(&graph, &crashed, processes)
         };
         let report = LivecheckReport {
             tm,
@@ -1277,7 +1284,6 @@ fn fresh_search<'a>(
         config,
         space: GraphSpace::new(scripts, config.parasitic, config.telemetry.clone()),
         frames: Vec::new(),
-        on_path: HashMap::new(),
         ids: Interner::new(),
         nodes: Vec::new(),
         pool,
@@ -1440,7 +1446,7 @@ fn expand_level_node(
 /// The parallel lasso search (see the module docs): level-synchronous
 /// parallel graph construction with a deterministic breadth-first merge,
 /// then a sequential replay DFS over the recorded graph for lassos, and
-/// the parallel SCC certificates.
+/// the SCC certificates.
 fn livecheck_parallel(
     tm: BoxedTm,
     scripts: &[ClientScript],
@@ -1580,7 +1586,7 @@ fn livecheck_parallel(
     // the explicit `exhausted` reason instead of exact accounting.
     search.replayed = search.replayed.saturating_sub(steps);
     search.steps = steps;
-    search.into_report(name, config.depth, true)
+    search.into_report(name, config.depth)
 }
 
 /// Runs the bounded liveness check of the TM built by `factory` under
@@ -1638,7 +1644,7 @@ where
         let _span = config.telemetry.phase("livecheck", "search");
         search.expand(Some(tm), root, config.depth);
     }
-    search.into_report(name, config.depth, false)
+    search.into_report(name, config.depth)
 }
 
 #[cfg(test)]
@@ -1884,6 +1890,14 @@ mod tests {
         assert_eq!(parallel.edges, plain.edges);
         assert_eq!(parallel.lassos.len(), plain.lassos.len());
         assert_eq!(parallel.verdicts, plain.verdicts);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn graph_nodes_stay_packed() {
+        // Budget and path slot share one word; the graph holds one node
+        // per interned state, so a wider node is paid per state.
+        assert_eq!(std::mem::size_of::<Node>(), 56);
     }
 
     #[test]

@@ -14,20 +14,15 @@
 //! (one seeded lost update) — it exists so the checking pipeline below
 //! has a defect it must provably catch.
 //!
-//! # Recording layers: from one mutex to streaming certification
+//! # Recording: from thread interleavings to streaming certification
 //!
-//! Two recorders turn real thread interleavings into formal histories
-//! the `tm-safety` checkers can verify — the bridge between the
-//! atomics-based code and the paper's model:
-//!
-//! * [`RecordingTm`] — a global `Mutex<History>`; simple and exactly
-//!   ordered, but every event append serializes on the lock, so
-//!   recording itself caps throughput at one core. The right tool for
-//!   bounded differential tests.
-//! * [`ShardedRecorder`] — the production path. Per-thread shards
-//!   append to private buffers; a global `AtomicU64` stamps every
-//!   event with a dense sequence number; batches travel to the
-//!   consumer once per transaction attempt over a lock-free channel.
+//! [`ShardedRecorder`] turns real thread interleavings into formal
+//! histories the `tm-safety` checkers can verify — the bridge between
+//! the atomics-based code and the paper's model. Per-thread shards
+//! append to private buffers; a global `AtomicU64` stamps every event
+//! with a dense sequence number; batches travel to the consumer once
+//! per transaction attempt over a lock-free channel, so no event append
+//! serializes on a lock.
 //!
 //! On top of the sharded stream, `tm_sim::online` runs the streaming
 //! certification pipeline:
@@ -55,9 +50,8 @@
 //! before B began, every stamp of A precedes every stamp of B. Sorting
 //! by stamp therefore yields a faithful history — at worst *stricter*
 //! about real-time order than physical time was, which only narrows
-//! what the opacity check may reorder (the same argument as
-//! [`RecordingTm`], with the atomic RMW's linearization point standing
-//! in for the mutex).
+//! what the opacity check may reorder (the atomic RMW's linearization
+//! point plays the role a mutex acquisition would).
 //!
 //! One event needs a sharper rule: the **commit response** is stamped
 //! at the TM's *serialization point* (via [`Transaction::commit_at`]),
@@ -75,9 +69,7 @@
 //! monotonicity (TL2) / value equality under a stable sequence (NOrec)
 //! prove retroactively that a passing validation extends back to the
 //! stamp, and a commit that fails after stamping charges its stamp to
-//! the abort response, which constrains nothing. Both recorders apply
-//! the same discipline ([`RecordingTm`] amends an optimistically
-//! logged commit back to an abort in place).
+//! the abort response, which constrains nothing.
 //!
 //! **Why the cuts are sound.** The chunker slices the merged history
 //! twice, and neither slice can mask a violation:
@@ -111,7 +103,6 @@ pub mod api;
 pub mod buggy;
 pub mod global_lock;
 pub mod norec;
-pub mod recording;
 pub mod sharded;
 pub mod tl2;
 
@@ -119,7 +110,6 @@ pub use api::{atomically, atomically_telemetered, ConcurrentTm, Transaction, TxA
 pub use buggy::ConcurrentBuggy;
 pub use global_lock::ConcurrentGlobalLock;
 pub use norec::ConcurrentNOrec;
-pub use recording::{atomically_recorded, RecordingTm, RecordingTx};
 pub use sharded::{
     atomically_sharded, EventStream, ShardWriter, ShardedRecorder, ShardedTx, StampedEvent,
     StreamStatus,

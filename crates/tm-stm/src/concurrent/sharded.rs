@@ -1,9 +1,8 @@
 //! Sharded, sequence-stamped recording for production traffic.
 //!
-//! [`RecordingTm`](super::RecordingTm) serializes every event append
-//! through one global mutex — correct, but a hard single-core ceiling on
-//! recording throughput. [`ShardedRecorder`] removes the mutex from the
-//! hot path entirely:
+//! Appending every event to one history under a global mutex is
+//! correct, but a hard single-core ceiling on recording throughput.
+//! [`ShardedRecorder`] keeps locks off the hot path entirely:
 //!
 //! * **per-thread shards** — each worker thread owns a [`ShardWriter`]
 //!   with a private append-only event buffer; no cross-thread writes,
@@ -13,10 +12,10 @@
 //!   global sequence number. The stamp for an invocation is taken
 //!   *before* the underlying operation starts and the stamp for its
 //!   response *after* it returns, so sorting by stamp yields a faithful
-//!   real-time-consistent history — the same argument as the mutexed
-//!   recorder, with the stamp's RMW linearization point standing in for
-//!   the mutex acquisition. Commit responses are stamped more
-//!   precisely: *at the TM's serialization point*, from inside
+//!   real-time-consistent history — the stamp's RMW linearization
+//!   point plays the role a mutex acquisition would. Commit responses
+//!   are stamped more precisely: *at the TM's serialization point*,
+//!   from inside
 //!   [`Transaction::commit_at`] (possibly optimistically, before the
 //!   TM's final validation — a failed commit's stamp is charged to its
 //!   abort response), so the merged order of commit events equals the
@@ -152,8 +151,7 @@ impl<T: ConcurrentTm> ShardedRecorder<T> {
 /// One thread's private recording shard.
 ///
 /// Not `Sync` by design — exactly one worker thread appends to it, so
-/// the buffer needs no synchronization. Mirrors
-/// [`RecordingTx`](super::RecordingTx)'s event discipline: invocation
+/// the buffer needs no synchronization. Event discipline: invocation
 /// stamped before the underlying operation, response after, abort
 /// events on failure, and [`ShardedTx::abandon`] completing live
 /// transactions with `tryC · A` so recorded histories stay complete.
@@ -528,7 +526,13 @@ mod tests {
 
     #[test]
     fn multi_threaded_merge_is_a_faithful_opaque_history() {
-        let (recorder, stream) = ShardedRecorder::new(ConcurrentNOrec::new(4));
+        assert_merged_history_is_opaque(ConcurrentNOrec::new(4));
+        assert_merged_history_is_opaque(ConcurrentTl2::new(4));
+    }
+
+    fn assert_merged_history_is_opaque<T: ConcurrentTm>(tm: T) {
+        let name = tm.name();
+        let (recorder, stream) = ShardedRecorder::new(tm);
         std::thread::scope(|s| {
             for t in 0..3 {
                 let mut shard = recorder.shard(ProcessId(t));
@@ -552,7 +556,7 @@ mod tests {
         assert_ne!(
             check_opacity_auto(&h),
             CheckOutcome::Violated,
-            "real NOrec interleavings must be opaque"
+            "real {name} interleavings must be opaque"
         );
     }
 

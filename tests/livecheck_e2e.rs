@@ -377,3 +377,58 @@ fn telemetry_snapshot_is_identical_across_thread_counts() {
         );
     }
 }
+
+/// Collision guard for the state fingerprints: the fault-prone graph of
+/// every catalogue TM over three processes, pinned count for count.
+/// Node identity, graph edges and lasso dedup all key on 64-bit digests,
+/// so two configurations merged by a digest collision would show here as
+/// a changed state, edge or lasso count (or a moved crash victim).
+#[test]
+fn fault_prone_catalogue_graphs_are_pinned_count_for_count() {
+    use tm_sim::FaultConfig;
+    // (tm, states, edges, distinct lassos, crash victims) at depth 10.
+    const PINNED: [(&str, usize, usize, usize, &[usize]); 9] = [
+        ("fgp", 10042, 32896, 42, &[0, 1, 2]),
+        ("fgp-strict", 9855, 31999, 40, &[0, 1, 2]),
+        ("tl2", 12414, 38040, 18, &[1, 2]),
+        ("tinystm", 9222, 29183, 21, &[0, 1, 2]),
+        ("swisstm", 17803, 55582, 23, &[0, 1, 2]),
+        ("norec", 11317, 35641, 15, &[]),
+        ("ostm", 8578, 28244, 26, &[1, 2]),
+        ("dstm", 10251, 33114, 18, &[0, 1]),
+        ("global-lock", 3811, 14056, 13, &[0, 1, 2]),
+    ];
+    let y = TVarId(1);
+    let scripts = vec![
+        ClientScript::new(vec![PlannedOp::Write(X, 1)]),
+        ClientScript::new(vec![PlannedOp::Read(X), PlannedOp::Write(X, 2)]),
+        ClientScript::new(vec![
+            PlannedOp::Read(X),
+            PlannedOp::Read(y),
+            PlannedOp::Write(y, 3),
+        ]),
+    ];
+    let config = LivecheckConfig::new(10)
+        .with_faults(FaultConfig::with_crashes(1).and_parasitic())
+        .with_reduction()
+        .with_max_lassos(usize::MAX);
+    let names: Vec<&str> = tm_stm::full_catalog(3, 2)
+        .iter()
+        .map(|tm| tm.name())
+        .collect();
+    assert_eq!(names.len(), PINNED.len());
+    for (i, (name, states, edges, lassos, victims)) in PINNED.into_iter().enumerate() {
+        assert_eq!(names[i], name, "catalogue order changed");
+        let report = livecheck(
+            || tm_stm::full_catalog(3, 2).swap_remove(i),
+            &scripts,
+            &config,
+        );
+        let got: Vec<usize> = report.crash_victims().iter().map(|p| p.index()).collect();
+        assert_eq!(
+            (report.states, report.edges, report.lassos.len(), &got[..]),
+            (states, edges, lassos, victims),
+            "{name}: fault-prone graph counts moved"
+        );
+    }
+}
