@@ -65,13 +65,24 @@
 //! schedule it abandons, so it must keep that counter at exactly zero
 //! (asserted in the differential suite).
 //!
+//! # Per-node cost
+//!
+//! Race detection runs at every node for every process, so both DPOR
+//! walks keep per-node work allocation-free: every path node's next-step
+//! footprints sit on one flat stack in [`Dpor`] (a node's parent row is
+//! the one below it), the optimal walk derives each reversal into one
+//! reused buffer that [`WakeupTree::insert`] consumes in place, and the
+//! race scans test happens-before (one clock row per scan) before the
+//! footprint conflict. The optimal walk keeps no memo: a subtree summary
+//! keyed on the pending wakeup tree never transferred (0 hits in 926,530
+//! probes on the explorer benchmark), and a configuration-keyed one
+//! would need stateful DPOR to stay sound.
+//!
 //! The graph search's transition memoization (execute each state-graph
 //! edge once, replay re-walks) is the liveness checker's analogue; it
 //! lives with the graph structures in [`crate::livecheck`].
 
-use std::hash::Hasher;
-
-use tm_core::{Invocation, ProcessId, StableHasher, TVarId};
+use tm_core::{Invocation, ProcessId, TVarId};
 use tm_stm::{BoxedTm, StepFootprint, SteppedTm};
 
 use crate::workload::Client;
@@ -158,8 +169,9 @@ pub(crate) struct DporStep {
 }
 
 /// The source-set DPOR state riding along the depth-first walk: the
-/// executed trace with vector clocks (happens-before), and the per-node
-/// backtrack sets race detection grows.
+/// executed trace with vector clocks (happens-before), every path node's
+/// next-step footprints, and the per-node backtrack sets race detection
+/// grows.
 #[derive(Debug)]
 pub(crate) struct Dpor {
     n: usize,
@@ -169,6 +181,11 @@ pub(crate) struct Dpor {
     clocks: Vec<u32>,
     /// Per-process trace index of the last executed step.
     last_of: Vec<Option<u32>>,
+    /// Flat per-node footprints, one stack for the whole path:
+    /// `feet[node * n + q]` is process `q`'s next-step footprint at the
+    /// node at depth `node`. Pushed at node entry (leaves included),
+    /// truncated on the node's return.
+    feet: Vec<StepFootprint>,
     /// Per-depth backtrack sets (a step's trace index is also the depth
     /// of the node it was executed from).
     pub(crate) backtrack: Vec<u64>,
@@ -195,6 +212,7 @@ impl Dpor {
             steps: Vec::new(),
             clocks: Vec::new(),
             last_of: vec![None; n],
+            feet: Vec::new(),
             backtrack: Vec::new(),
             races: 0,
             blocked: 0,
@@ -204,6 +222,11 @@ impl Dpor {
     /// Records the execution of one step by `k` with footprint `foot`:
     /// its clock is the join of the process's previous clock and the
     /// clocks of every earlier conflicting step, plus itself.
+    ///
+    /// A step the partial join already covers (its own entry is reached)
+    /// is skipped without testing its footprint: it happens before some
+    /// step already joined, so its whole clock is below the join and
+    /// joining it again changes nothing.
     pub(crate) fn push(&mut self, k: usize, foot: StepFootprint) {
         let n = self.n;
         let i = self.steps.len();
@@ -211,25 +234,21 @@ impl Dpor {
         match self.last_of[k] {
             Some(p) => {
                 let row = p as usize * n;
-                for q in 0..n {
-                    let c = self.clocks[row + q];
-                    self.clocks.push(c);
-                }
+                self.clocks.extend_from_within(row..row + n);
             }
             None => self.clocks.resize(base + n, 0),
         }
-        for j in 0..i {
-            if self.steps[j].foot.conflicts(&foot) {
-                let row = j * n;
-                for q in 0..n {
-                    if self.clocks[row + q] > self.clocks[base + q] {
-                        self.clocks[base + q] = self.clocks[row + q];
-                    }
-                }
+        let (past, clock) = self.clocks.split_at_mut(base);
+        for (j, step) in self.steps.iter().enumerate() {
+            if clock[step.proc as usize] >= step.local_index || !step.foot.conflicts(&foot) {
+                continue;
+            }
+            for (c, &p) in clock.iter_mut().zip(&past[j * n..(j + 1) * n]) {
+                *c = (*c).max(p);
             }
         }
         let local_index = self.last_of[k].map_or(0, |p| self.steps[p as usize].local_index) + 1;
-        self.clocks[base + k] = local_index;
+        clock[k] = local_index;
         self.steps.push(DporStep {
             proc: u8::try_from(k).expect("≤ 64 processes"),
             foot,
@@ -245,23 +264,66 @@ impl Dpor {
         self.clocks.truncate(self.steps.len() * self.n);
     }
 
+    /// Enters the node at depth `steps.len()`: pushes every process's
+    /// next-step footprint at the current configuration.
+    pub(crate) fn push_feet(&mut self, tm: &BoxedTm, clients: &[Client]) {
+        for q in 0..self.n {
+            self.feet.push(next_footprint(tm, clients, q));
+        }
+    }
+
+    /// Leaves the node entered by the last [`Dpor::push_feet`].
+    pub(crate) fn pop_feet(&mut self) {
+        self.feet.truncate(self.feet.len() - self.n);
+    }
+
+    /// The next-step footprints at the node at `depth`.
+    pub(crate) fn node_feet(&self, depth: usize) -> &[StepFootprint] {
+        &self.feet[depth * self.n..(depth + 1) * self.n]
+    }
+
+    /// The race scan of process `q`'s next step at the node whose
+    /// footprints were just pushed: the step's footprint and the trace
+    /// index the scan starts from (`None` at the root, which has no
+    /// trace). Incremental: a process that did not just step and whose
+    /// footprint is unchanged since the parent node had all its races
+    /// against older steps handled there (its clock is unchanged too),
+    /// so only the newest trace step needs checking — full rescans
+    /// happen exactly for the process that stepped or on a
+    /// state-induced footprint change.
+    fn node_scan(&self, q: usize) -> Option<(StepFootprint, usize)> {
+        let (n, len) = (self.n, self.steps.len());
+        let last = self.steps.last()?;
+        let foot = self.feet[len * n + q];
+        let full = q == last.proc as usize || self.feet[(len - 1) * n + q] != foot;
+        Some((foot, if full { 0 } else { len - 1 }))
+    }
+
+    /// Source-set race detection at the node whose footprints were just
+    /// pushed, for every process's next step
+    /// ([`Dpor::detect_races_from`]).
+    pub(crate) fn detect_node_races(&mut self) {
+        for q in 0..self.n {
+            if let Some((foot, lo)) = self.node_scan(q) {
+                self.detect_races_from(q, &foot, lo);
+            }
+        }
+    }
+
     /// Whether step `i` happens-before step `j` (`i < j`).
     fn hb_steps(&self, i: usize, j: usize) -> bool {
         self.clocks[j * self.n + self.steps[i].proc as usize] >= self.steps[i].local_index
     }
 
-    /// Whether step `i` happens-before the *next* (unexecuted) step of
-    /// process `q` — i.e. `i` is in the causal past of `q`'s last step.
-    fn hb_to_next(&self, i: usize, q: usize) -> bool {
-        if self.steps[i].proc as usize == q {
-            return true;
-        }
-        match self.last_of[q] {
-            None => false,
-            Some(l) => {
-                self.clocks[l as usize * self.n + self.steps[i].proc as usize]
-                    >= self.steps[i].local_index
-            }
+    /// The clock row of process `q`'s last executed step (all zeros
+    /// before its first): trace step `i` happens before `q`'s *next*
+    /// step iff `row[proc(i)] >= local_index(i)` or `i` is `q`'s own.
+    /// Race scans read it once per scan instead of once per step.
+    fn past_of(clocks: &[u32], last: Option<u32>, n: usize) -> &[u32] {
+        static NONE: [u32; 64] = [0; 64];
+        match last {
+            Some(l) => &clocks[l as usize * n..(l as usize + 1) * n],
+            None => &NONE[..n],
         }
     }
 
@@ -279,10 +341,12 @@ impl Dpor {
     /// processes cannot become happens-before predecessors of it), so
     /// only the *new* step needs checking when neither `k`'s footprint
     /// nor its clock changed.
-    pub(crate) fn detect_races_from(&mut self, k: usize, fp: &StepFootprint, lo: usize) {
+    fn detect_races_from(&mut self, k: usize, fp: &StepFootprint, lo: usize) {
+        let past = Dpor::past_of(&self.clocks, self.last_of[k], self.n);
         for e in (lo..self.steps.len()).rev() {
             let step = &self.steps[e];
-            if step.proc as usize == k || !step.foot.conflicts(fp) || self.hb_to_next(e, k) {
+            let p = step.proc as usize;
+            if p == k || past[p] >= step.local_index || !step.foot.conflicts(fp) {
                 continue;
             }
             self.races += 1;
@@ -398,87 +462,67 @@ impl WakeupTree {
 
     /// Inserts the reversal sequence `v` by the ordered-tree rule
     /// (module docs): descend into the first child edge whose label is
-    /// an initial of the remaining sequence (consuming that occurrence)
-    /// or independent of all of it (passing it through); append the
-    /// remainder as a fresh chain when no child accepts; report
-    /// subsumption (`false`) when an existing branch ends first or the
-    /// sequence is consumed entirely.
-    pub(crate) fn insert(&mut self, v: Vec<WakeupStep>) -> bool {
-        self.insert_from(v, false)
-    }
-
-    fn insert_from(&mut self, v: Vec<WakeupStep>, interior: bool) -> bool {
-        if v.is_empty() {
-            return false; // consumed: an existing branch covers it
-        }
-        if interior && self.edges.is_empty() {
-            // End of an existing branch with steps left over: the
-            // branch's own exploration (free seeding plus its own race
-            // detection) subsumes the remainder.
-            return false;
-        }
-        for i in 0..self.edges.len() {
-            let edge = &self.edges[i];
-            if let Some(pos) = v.iter().position(|s| s.proc == edge.proc) {
-                if is_initial(&v, pos) {
-                    let mut rest = v;
-                    rest.remove(pos);
-                    return self.edges[i].sub.insert_from(rest, true);
+    /// an initial of the remaining sequence (consuming that occurrence
+    /// from `v`) or independent of all of it (passing it through);
+    /// append the remainder as a fresh chain when no child accepts;
+    /// report subsumption (`false`) when an existing branch ends first or
+    /// the sequence is consumed entirely. `v` is consumed in place, so a
+    /// caller can reuse its buffer.
+    pub(crate) fn insert(&mut self, v: &mut Vec<WakeupStep>) -> bool {
+        let mut node = self;
+        let mut interior = false;
+        loop {
+            if v.is_empty() {
+                return false; // consumed: an existing branch covers it
+            }
+            if interior && node.edges.is_empty() {
+                // End of an existing branch with steps left over: the
+                // branch's own exploration (free seeding plus its own
+                // race detection) subsumes the remainder.
+                return false;
+            }
+            let mut accepted = None;
+            for (i, edge) in node.edges.iter().enumerate() {
+                if let Some(pos) = v.iter().position(|s| s.proc == edge.proc) {
+                    if is_initial(v, pos) {
+                        v.remove(pos);
+                        accepted = Some(i);
+                        break;
+                    }
+                    // The label's process occurs in v but is not an
+                    // initial: this branch cannot host the reversal.
+                } else if v.iter().all(|s| !edge.foot.conflicts(&s.foot)) {
+                    accepted = Some(i);
+                    break;
                 }
-                // The label's process occurs in v but is not an initial:
-                // this branch cannot host the reversal; try the next.
-            } else if v.iter().all(|s| !edge.foot.conflicts(&s.foot)) {
-                return self.edges[i].sub.insert_from(v, true);
+            }
+            match accepted {
+                Some(i) => {
+                    node = &mut node.edges[i].sub;
+                    interior = true;
+                }
+                None => break,
             }
         }
-        // No child accepts: append v as a fresh chain. Its head process
-        // is distinct from every sibling label (a matching label would
-        // have consumed it as an initial above), keeping labels unique.
-        let mut sub = WakeupTree::default();
-        for s in v.into_iter().rev() {
-            let mut wrap = WakeupTree::default();
-            wrap.edges.push(WakeupEdge {
+        // No child accepts: append v as a fresh chain, head edge first.
+        // Its head process is distinct from every sibling label (a
+        // matching label would have consumed it as an initial above),
+        // keeping labels unique.
+        for s in v.drain(..) {
+            node.edges.push(WakeupEdge {
                 proc: s.proc,
                 foot: s.foot,
-                sub,
+                sub: WakeupTree::default(),
             });
-            sub = wrap;
+            node = &mut node.edges.last_mut().expect("just pushed").sub;
         }
-        self.edges.append(&mut sub.edges);
         true
-    }
-
-    /// Order-sensitive structural digest (a [`StableHasher`] fed a
-    /// preorder walk), for the dedup seen-set key: two nodes with equal
-    /// configuration digests but different pending reversals must not
-    /// share a memoized subtree summary.
-    pub(crate) fn digest(&self) -> u64 {
-        let mut h = StableHasher::new();
-        self.digest_into(&mut h);
-        h.finish()
-    }
-
-    fn digest_into(&self, h: &mut StableHasher) {
-        h.write_usize(self.edges.len());
-        for edge in &self.edges {
-            h.write_u64(u64::from(edge.proc) | 0x100);
-            h.write_u64(edge.foot.var_reads);
-            h.write_u64(edge.foot.var_writes);
-            h.write_u64(
-                u64::from(edge.foot.global_read)
-                    | u64::from(edge.foot.global_write) << 1
-                    | u64::from(edge.foot.ends) << 2
-                    | u64::from(edge.foot.begins) << 3,
-            );
-            edge.sub.digest_into(h);
-        }
     }
 }
 
 /// The optimal-DPOR state riding along the walk: the source-set core
-/// (trace, vector clocks, race detection) plus per-path-node context —
-/// the sleep set, the wakeup tree, and every process's next-step
-/// footprint at that node (for the weak-initial guard).
+/// (trace, vector clocks, per-node footprints, race detection) plus
+/// per-path-node context — the sleep set and the wakeup tree.
 #[derive(Debug)]
 pub(crate) struct OptimalDpor {
     pub(crate) core: Dpor,
@@ -489,9 +533,9 @@ pub(crate) struct OptimalDpor {
     /// Per-node wakeup trees along the current path (pending reversal
     /// branches only; the edge being explored is popped).
     wuts: Vec<WakeupTree>,
-    /// Flat per-node footprints: `feet[node * n + q]` is process `q`'s
-    /// next-step footprint at that node.
-    feet: Vec<StepFootprint>,
+    /// Scratch buffer for the reversal sequence being derived (reused
+    /// across races, so deriving one allocates nothing).
+    reversal: Vec<WakeupStep>,
     /// Reversal sequences inserted into wakeup trees (telemetry tally).
     pub(crate) inserts: u64,
     /// Reversals proved covered: rejected by the weak-initial sleep
@@ -516,26 +560,27 @@ impl OptimalDpor {
             n,
             sleeps: Vec::new(),
             wuts: Vec::new(),
-            feet: Vec::new(),
+            reversal: Vec::new(),
             inserts: 0,
             redundant: 0,
             blocked: 0,
         }
     }
 
-    /// Enters a node at depth `sleeps.len()`: records its sleep set,
-    /// pending wakeup tree, and next-step footprints.
-    pub(crate) fn push_node(&mut self, sleep: u64, wut: WakeupTree, feet: &[StepFootprint]) {
-        debug_assert_eq!(feet.len(), self.n);
+    /// Expands the node whose footprints were just pushed
+    /// ([`Dpor::push_feet`]): records its sleep set and pending wakeup
+    /// tree.
+    pub(crate) fn push_node(&mut self, sleep: u64, wut: WakeupTree) {
         self.sleeps.push(sleep);
         self.wuts.push(wut);
-        self.feet.extend_from_slice(feet);
     }
 
+    /// Leaves an expanded node: drops its sleep set, wakeup tree and
+    /// footprints.
     pub(crate) fn pop_node(&mut self) {
         self.sleeps.pop().expect("pop matches push");
         self.wuts.pop();
-        self.feet.truncate(self.feet.len() - self.n);
+        self.core.pop_feet();
     }
 
     /// Marks `k` explored at the node at `depth` (joins its sleep set).
@@ -555,27 +600,43 @@ impl OptimalDpor {
         self.wuts[depth].pop_first()
     }
 
+    /// Optimal-mode race detection at the node whose footprints were
+    /// just pushed, for every process's next step, under the same
+    /// incremental rescans as [`Dpor::detect_node_races`].
+    pub(crate) fn detect_node_races(&mut self) {
+        for q in 0..self.n {
+            if let Some((foot, lo)) = self.core.node_scan(q) {
+                self.detect_races(q, &foot, lo);
+            }
+        }
+    }
+
     /// Optimal-mode race detection for the next step of process `k`
     /// (footprint `fp`) against trace steps `lo..`: for every reversible
     /// race, derive the full reversal sequence `notdep(e, E) · k` and
     /// insert it into the racing node's wakeup tree unless the
     /// weak-initial sleep guard proves it covered. Same incremental
     /// contract as [`Dpor::detect_races_from`].
-    pub(crate) fn detect_races(&mut self, k: usize, fp: &StepFootprint, lo: usize) {
+    fn detect_races(&mut self, k: usize, fp: &StepFootprint, lo: usize) {
         let len = self.core.steps.len();
+        let past = Dpor::past_of(&self.core.clocks, self.core.last_of[k], self.n);
+        let mut v = std::mem::take(&mut self.reversal);
         for e in (lo..len).rev() {
             let step = &self.core.steps[e];
-            if step.proc as usize == k || !step.foot.conflicts(fp) || self.core.hb_to_next(e, k) {
+            let p = step.proc as usize;
+            if p == k || past[p] >= step.local_index || !step.foot.conflicts(fp) {
                 continue;
             }
             self.core.races += 1;
-            let mut v: Vec<WakeupStep> = (e + 1..len)
-                .filter(|&j| !self.core.hb_steps(e, j))
-                .map(|j| WakeupStep {
-                    proc: self.core.steps[j].proc,
-                    foot: self.core.steps[j].foot,
-                })
-                .collect();
+            v.clear();
+            v.extend(
+                (e + 1..len)
+                    .filter(|&j| !self.core.hb_steps(e, j))
+                    .map(|j| WakeupStep {
+                        proc: self.core.steps[j].proc,
+                        foot: self.core.steps[j].foot,
+                    }),
+            );
             v.push(WakeupStep {
                 proc: u8::try_from(k).expect("≤ 64 processes"),
                 foot: *fp,
@@ -583,12 +644,13 @@ impl OptimalDpor {
             let wi = self.weak_initials(e, &v);
             if wi & self.sleeps[e] != 0 {
                 self.redundant += 1; // an explored or sleeping branch covers it
-            } else if self.wuts[e].insert(v) {
+            } else if self.wuts[e].insert(&mut v) {
                 self.inserts += 1;
             } else {
                 self.redundant += 1; // subsumed by a pending branch
             }
         }
+        self.reversal = v;
     }
 
     /// `WI(v)` at the node at depth `e`: initials of `v`, plus processes
@@ -607,16 +669,215 @@ impl OptimalDpor {
                 }
             }
         }
-        for q in 0..self.n {
+        for (q, foot) in self.core.node_feet(e).iter().enumerate() {
             let bit = 1u64 << q;
-            if procs & bit != 0 {
-                continue;
-            }
-            let foot = &self.feet[e * self.n + q];
-            if v.iter().all(|s| !foot.conflicts(&s.foot)) {
+            if procs & bit == 0 && v.iter().all(|s| !foot.conflicts(&s.foot)) {
                 wi |= bit;
             }
         }
         wi
+    }
+}
+
+/// The sleep set of the child reached by stepping `k` from a node with
+/// sleep set `sleep` and next-step footprints `feet` (SDPOR sleep
+/// inheritance): a sibling stays asleep only while its next step is
+/// independent of the step just taken.
+pub(crate) fn inherited_sleep(feet: &[StepFootprint], sleep: u64, k: usize) -> u64 {
+    let mut kept = 0u64;
+    for (q, foot) in feet.iter().enumerate() {
+        if sleep & (1 << q) != 0 && !foot.conflicts(&feet[k]) {
+            kept |= 1 << q;
+        }
+    }
+    kept
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn step(proc: u8, reads: u64, writes: u64) -> WakeupStep {
+        WakeupStep {
+            proc,
+            foot: StepFootprint {
+                var_reads: reads,
+                var_writes: writes,
+                ..StepFootprint::local()
+            },
+        }
+    }
+
+    /// The tree as `(depth, proc, foot)` in preorder.
+    fn preorder(tree: &WakeupTree) -> Vec<(usize, u8, StepFootprint)> {
+        fn walk(tree: &WakeupTree, depth: usize, out: &mut Vec<(usize, u8, StepFootprint)>) {
+            for edge in &tree.edges {
+                out.push((depth, edge.proc, edge.foot));
+                walk(&edge.sub, depth + 1, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(tree, 0, &mut out);
+        out
+    }
+
+    /// The owned-`Vec` insertion the in-place [`WakeupTree::insert`]
+    /// replaced, kept verbatim as its oracle.
+    fn insert_owned(tree: &mut WakeupTree, v: Vec<WakeupStep>, interior: bool) -> bool {
+        if v.is_empty() {
+            return false;
+        }
+        if interior && tree.edges.is_empty() {
+            return false;
+        }
+        for i in 0..tree.edges.len() {
+            let edge = &tree.edges[i];
+            if let Some(pos) = v.iter().position(|s| s.proc == edge.proc) {
+                if is_initial(&v, pos) {
+                    let mut rest = v;
+                    rest.remove(pos);
+                    return insert_owned(&mut tree.edges[i].sub, rest, true);
+                }
+            } else if v.iter().all(|s| !edge.foot.conflicts(&s.foot)) {
+                return insert_owned(&mut tree.edges[i].sub, v, true);
+            }
+        }
+        let mut sub = WakeupTree::default();
+        for s in v.into_iter().rev() {
+            let mut wrap = WakeupTree::default();
+            wrap.edges.push(WakeupEdge {
+                proc: s.proc,
+                foot: s.foot,
+                sub,
+            });
+            sub = wrap;
+        }
+        tree.edges.append(&mut sub.edges);
+        true
+    }
+
+    #[test]
+    fn an_initial_label_is_consumed() {
+        // Tree p0 → p2 (p2 writes x). The reversal [p0, p1 writes x]
+        // starts with p0, an initial: the p0 edge consumes it; below,
+        // p2 conflicts with p1's write and is not in the rest, so p1
+        // is appended beside p2.
+        let mut tree = WakeupTree::default();
+        tree.seed(0, step(0, 0, 0b001).foot);
+        tree.edges[0].sub.seed(2, step(2, 0, 0b001).foot);
+        let mut v = vec![step(0, 0b010, 0), step(1, 0, 0b001)];
+        assert!(tree.insert(&mut v));
+        assert!(v.is_empty(), "the buffer is consumed");
+        assert_eq!(
+            preorder(&tree),
+            vec![
+                (0, 0, step(0, 0, 0b001).foot),
+                (1, 2, step(2, 0, 0b001).foot),
+                (1, 1, step(1, 0, 0b001).foot),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_independent_label_passes_the_sequence_through() {
+        // Tree p2 (writes z) → p3 (writes x). p2 is independent of all
+        // of [p1 writes x], which passes through unchanged and lands
+        // beside the conflicting p3.
+        let mut tree = WakeupTree::default();
+        tree.seed(2, step(2, 0, 0b100).foot);
+        tree.edges[0].sub.seed(3, step(3, 0, 0b001).foot);
+        let mut v = vec![step(1, 0, 0b001)];
+        assert!(tree.insert(&mut v));
+        assert_eq!(
+            preorder(&tree),
+            vec![
+                (0, 2, step(2, 0, 0b100).foot),
+                (1, 3, step(3, 0, 0b001).foot),
+                (1, 1, step(1, 0, 0b001).foot),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_sequence_outliving_a_branch_is_subsumed() {
+        // After descending p0's (leaf) edge, steps remain: the branch's
+        // own exploration covers them, so nothing is inserted.
+        let mut tree = WakeupTree::default();
+        tree.seed(0, step(0, 0, 0b01).foot);
+        let mut v = vec![step(0, 0, 0b01), step(1, 0b01, 0)];
+        assert!(!tree.insert(&mut v));
+        assert_eq!(preorder(&tree), vec![(0, 0, step(0, 0, 0b01).foot)]);
+        // A sequence consumed entirely is subsumed as well.
+        let mut v = vec![step(0, 0, 0b01)];
+        assert!(!tree.insert(&mut v));
+        assert_eq!(preorder(&tree).len(), 1);
+    }
+
+    #[test]
+    fn appended_chains_keep_labels_unique_in_arrival_order() {
+        // Three reversals, all conflicting with the existing p0 branch
+        // on x and headed by distinct processes that are not initials
+        // of anything below: each becomes a fresh chain, appended after
+        // the older siblings.
+        let mut tree = WakeupTree::default();
+        tree.seed(0, step(0, 0, 0b01).foot);
+        for (head, tail) in [(1, 3), (2, 1), (3, 2)] {
+            let mut v = vec![step(head, 0, 0b01), step(tail, 0b01, 0)];
+            assert!(tree.insert(&mut v));
+        }
+        let labels: Vec<u8> = tree.edges.iter().map(|e| e.proc).collect();
+        assert_eq!(labels, vec![0, 1, 2, 3]);
+        let tails: Vec<Vec<u8>> = tree.edges[1..]
+            .iter()
+            .map(|e| e.sub.edges.iter().map(|s| s.proc).collect())
+            .collect();
+        assert_eq!(tails, vec![vec![3], vec![1], vec![2]]);
+        // A repeat of an existing chain's head process is consumed by
+        // that chain, never appended beside it.
+        let mut v = vec![step(2, 0, 0b01), step(0, 0b01, 0)];
+        assert!(!tree.insert(&mut v), "p2's chain covers it");
+        let labels: Vec<u8> = tree.edges.iter().map(|e| e.proc).collect();
+        assert_eq!(labels, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn in_place_insertion_matches_the_owned_insertion() {
+        let mut s = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |bound: u64| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % bound
+        };
+        let (mut inserted, mut subsumed) = (0, 0);
+        for _ in 0..200 {
+            let (mut tree, mut oracle) = (WakeupTree::default(), WakeupTree::default());
+            let mut buffer = Vec::new();
+            for _ in 0..12 {
+                let len = 1 + next(5) as usize;
+                let v: Vec<WakeupStep> = (0..len)
+                    .map(|_| {
+                        let mut foot = step(next(4) as u8, next(4), next(4)).foot;
+                        foot.ends = next(5) == 0;
+                        foot.begins = next(5) == 0;
+                        WakeupStep {
+                            proc: next(4) as u8,
+                            foot,
+                        }
+                    })
+                    .collect();
+                buffer.clear();
+                buffer.extend_from_slice(&v);
+                let got = tree.insert(&mut buffer);
+                assert_eq!(got, insert_owned(&mut oracle, v, false));
+                assert_eq!(preorder(&tree), preorder(&oracle));
+                if got {
+                    inserted += 1;
+                } else {
+                    subsumed += 1;
+                }
+            }
+        }
+        assert!(inserted > 100 && subsumed > 100, "{inserted} / {subsumed}");
     }
 }

@@ -161,15 +161,16 @@
 //! history — so `all_opaque` is preserved exactly, and every violation
 //! DPOR reports is one the unreduced explorer reports verbatim.
 //!
-//! **Composition.** With [`ExploreConfig::dedup`], a memoized subtree
-//! summary additionally stores the union of every footprint the subtree
-//! queried or executed; a hit is replayed only when nothing in the
-//! current trace conflicts with that union — otherwise the skipped walk
-//! could owe race-reversal backtrack points to the prefix. (Subtree
-//! *shape* is prefix-independent: race insertions into the subtree
-//! depend only on its own trace, because trace indices put subtree
-//! steps after every prefix step in the max-scan and happens-before
-//! chains between subtree events cannot route through the prefix.) With
+//! **Composition.** With [`ExploreConfig::dedup`], a source-set walk's
+//! memoized subtree summary additionally stores the union of every
+//! footprint the subtree queried or executed; a hit is replayed only
+//! when nothing in the current trace conflicts with that union —
+//! otherwise the skipped walk could owe race-reversal backtrack points
+//! to the prefix. (Subtree *shape* is prefix-independent: race
+//! insertions into the subtree depend only on its own trace, because
+//! trace indices put subtree steps after every prefix step in the
+//! max-scan and happens-before chains between subtree events cannot
+//! route through the prefix.) The optimal walk below keeps no memo. With
 //! [`ExploreConfig::parallel`], the prefix tree up to the split depth is
 //! enumerated exhaustively — a reduced prefix tree could owe reversals
 //! across the boundary — and each root runs an independent source-set
@@ -205,12 +206,18 @@
 //! stay
 //! pairwise inequivalent (asserted via [`schedule_normal_form`]), but
 //! the class count from [`mazurkiewicz_classes`] is a ceiling, not an
-//! equality, at the bounded-depth frontier. Second, composition follows
-//! source mode: dedup additionally keys on the pending wakeup tree's
-//! digest and keeps the footprint replay guard; the parallel frontier
-//! enumerates the prefix tree exhaustively and runs an independent
-//! wakeup-tree walk per root, so reports stay deterministic and
-//! byte-identical across thread counts.
+//! equality, at the bounded-depth frontier. Second, the walk keeps no
+//! memo: [`ExploreConfig::dedup`] is ignored under optimal DPOR. Two
+//! nodes share a memoized summary only if they owe the same pending
+//! reversals, and that never happened (0 hits in 926,530 probes on the
+//! explorer benchmark, whose shipped configuration asks for dedup);
+//! keying on the configuration alone would need the race information
+//! to survive a hit, i.e. stateful DPOR. Since a hit only ever replayed
+//! counts, dropping the memo changes no schedule, violation or
+//! fallback. The parallel frontier enumerates the prefix tree
+//! exhaustively and runs an independent wakeup-tree walk per root, as
+//! in source mode, so reports stay deterministic and byte-identical
+//! across thread counts.
 //!
 //! # The exploration kernel
 //!
@@ -341,7 +348,10 @@ pub struct ExploreConfig {
     /// (see the module docs). Reports stay byte-identical; `schedules`
     /// still counts every leaf of the full tree. Takes effect only for
     /// TMs implementing [`tm_stm::SteppedTm::state_digest`]; for the
-    /// rest dedup is silently disabled.
+    /// rest dedup is silently disabled. Also disabled under
+    /// `optimal_dpor`, whose walk keeps no memo (a summary keyed on the
+    /// pending wakeup tree never transferred; see the module docs) —
+    /// the report and schedules are those of the walk without dedup.
     pub dedup: bool,
     /// Source-set dynamic partial-order reduction (see the module docs):
     /// explore **one representative schedule per Mazurkiewicz
@@ -436,7 +446,8 @@ impl ExploreConfig {
         self
     }
 
-    /// Enables digest dedup (the cross-schedule seen set).
+    /// Enables digest dedup (the cross-schedule seen set). No effect
+    /// under optimal DPOR ([`ExploreConfig::dedup`]).
     pub fn with_dedup(mut self) -> Self {
         self.dedup = true;
         self
@@ -667,10 +678,6 @@ struct MemoKey {
     checker: u64,
     sleep: u64,
     remaining: u32,
-    /// Structural digest of the node's *pending* wakeup tree (optimal
-    /// mode only; 0 otherwise): a memoized summary transfers only
-    /// between nodes owing the same reversal branches.
-    wut: u64,
     /// [`FaultState::key`] of the branch (0 in fault-free runs): a
     /// summary never transfers between distinct crash/parasitic masks —
     /// the residual searches differ in both branching and stepping.
@@ -807,7 +814,6 @@ where
             checker: walk.space.checker.state_digest(),
             sleep,
             remaining: remaining as u32,
-            wut: 0,
             faults: walk.space.fstate.key(),
         };
         if let Some(delta) = walk.memo.get(&key) {
@@ -970,39 +976,29 @@ fn walk_dpor(
     tm: BoxedTm,
     remaining: usize,
     mut sleep: u64,
-    parent_feet: Option<&[StepFootprint; 64]>,
 ) -> (BoxedTm, StepFootprint) {
     if !walk.meter.note_state() {
         return (tm, StepFootprint::local());
     }
     let n = walk.space.width();
-    let mut feet = [StepFootprint::local(); 64];
+    let depth = dpor.steps.len();
+    dpor.push_feet(&tm, &walk.space.clients);
     let mut agg = StepFootprint::local();
-    for (q, foot) in feet.iter_mut().enumerate().take(n) {
-        *foot = reduction::next_footprint(&tm, &walk.space.clients, q);
+    for foot in dpor.node_feet(depth) {
         agg.merge(foot);
     }
     // Race detection at *every* node for *every* process's next step
     // (Flanagan–Godefroid style), leaves included: at the depth frontier
     // the conflicting "second" step never executes, so detection keyed
     // on executed steps alone would miss reversals that only differ in
-    // the final steps of the bounded window. Incremental: a process that
-    // did not just step and whose footprint is unchanged since the
-    // parent node has all its races against older steps already ensured
-    // there (its clock is unchanged too), so only the newest trace step
-    // needs checking — full rescans happen exactly for the process that
-    // stepped or on a state-induced footprint change.
-    let len = dpor.steps.len();
-    if len > 0 {
-        let last_proc = dpor.steps[len - 1].proc as usize;
-        for (q, foot) in feet.iter().enumerate().take(n) {
-            let full = q == last_proc || parent_feet.is_none_or(|pf| pf[q] != *foot);
-            dpor.detect_races_from(q, foot, if full { 0 } else { len - 1 });
-        }
-    }
+    // the final steps of the bounded window.
+    let started = walk.space.telemetry.timer_start();
+    dpor.detect_node_races();
+    walk.space.telemetry.timer_stop(Timer::DporRace, started);
     if remaining == 0 {
         certify_leaf(walk.space, walk.out);
         walk.meter.note_schedule();
+        dpor.pop_feet();
         return (tm, agg);
     }
     // Digest dedup, DPOR flavour: a stored subtree summary may be
@@ -1021,7 +1017,6 @@ fn walk_dpor(
             checker: walk.space.checker.state_digest(),
             sleep,
             remaining: remaining as u32,
-            wut: 0,
             faults: walk.space.fstate.key(),
         };
         if let Some(delta) = walk.memo.get(&key) {
@@ -1029,6 +1024,7 @@ fn walk_dpor(
                 walk.out.schedules += delta.schedules;
                 walk.out.pruned_subtrees += delta.pruned_subtrees;
                 walk.out.dedup_hits += 1;
+                dpor.pop_feet();
                 return (tm, delta.agg);
             }
         }
@@ -1043,7 +1039,6 @@ fn walk_dpor(
     } else {
         None
     };
-    let depth = dpor.steps.len();
     debug_assert_eq!(dpor.backtrack.len(), depth);
     dpor.backtrack.push(0);
     // Seed with the first process the sleep set does not prove covered;
@@ -1062,17 +1057,10 @@ fn walk_dpor(
         explored |= 1 << k;
         let mark = walk.space.mark(k);
         let (child, _) = expand_child(walk.space, walk.pool, &tm, k);
-        dpor.push(k, feet[k]);
-        // SDPOR sleep inheritance: a sibling stays asleep only while its
-        // next step is independent of the step just taken.
-        let mut child_sleep = 0u64;
-        for q in 0..n {
-            if sleep & (1 << q) != 0 && !feet[q].conflicts(&feet[k]) {
-                child_sleep |= 1 << q;
-            }
-        }
-        let (recycled, child_agg) =
-            walk_dpor(walk, dpor, child, remaining - 1, child_sleep, Some(&feet));
+        let feet = dpor.node_feet(depth);
+        let (foot, child_sleep) = (feet[k], reduction::inherited_sleep(feet, sleep, k));
+        dpor.push(k, foot);
+        let (recycled, child_agg) = walk_dpor(walk, dpor, child, remaining - 1, child_sleep);
         agg.merge(&child_agg);
         walk.pool.put_back(recycled);
         dpor.pop();
@@ -1085,6 +1073,7 @@ fn walk_dpor(
     // eliminate (optimal mode keeps this tally at exactly zero).
     dpor.blocked += u64::from((dpor.backtrack[depth] & !explored).count_ones());
     dpor.backtrack.pop();
+    dpor.pop_feet();
     if let Some((key, schedules, fallbacks, violations, pruned)) = memo_note {
         if walk.out.exact_fallbacks == fallbacks
             && walk.out.violations.len() == violations
@@ -1108,8 +1097,8 @@ fn walk_dpor(
 /// race detection inserted, minus those the weak-initial sleep guard
 /// proved covered — seeding one free representative only when the tree
 /// is empty. `wut` is the pending subtree the parent's popped edge
-/// handed down. Returns the TM box for recycling and the footprint
-/// union for the memo replay guard, exactly like [`walk_dpor`].
+/// handed down. Returns the TM box for recycling. Never consults the
+/// memo (see [`ExploreConfig::dedup`]).
 fn walk_optimal(
     walk: &mut Walk<'_>,
     opt: &mut OptimalDpor,
@@ -1117,83 +1106,34 @@ fn walk_optimal(
     remaining: usize,
     mut sleep: u64,
     wut: WakeupTree,
-    parent_feet: Option<&[StepFootprint; 64]>,
-) -> (BoxedTm, StepFootprint) {
+) -> BoxedTm {
     if !walk.meter.note_state() {
-        return (tm, StepFootprint::local());
+        return tm;
     }
     let n = walk.space.width();
-    let mut feet = [StepFootprint::local(); 64];
-    let mut agg = StepFootprint::local();
-    for (q, foot) in feet.iter_mut().enumerate().take(n) {
-        *foot = reduction::next_footprint(&tm, &walk.space.clients, q);
-        agg.merge(foot);
-    }
+    let depth = opt.core.steps.len();
+    opt.core.push_feet(&tm, &walk.space.clients);
     // Race detection at every node for every process's next step, under
     // the same incremental rescan discipline as [`walk_dpor`]. Reversal
     // sequences insert into *ancestor* nodes' wakeup trees (this node's
     // own entry is pushed below, after detection).
-    let len = opt.core.steps.len();
-    if len > 0 {
-        let last_proc = opt.core.steps[len - 1].proc as usize;
-        for (q, foot) in feet.iter().enumerate().take(n) {
-            let full = q == last_proc || parent_feet.is_none_or(|pf| pf[q] != *foot);
-            opt.detect_races(q, foot, if full { 0 } else { len - 1 });
-        }
-    }
+    let started = walk.space.telemetry.timer_start();
+    opt.detect_node_races();
+    walk.space.telemetry.timer_stop(Timer::DporRace, started);
     if remaining == 0 {
         certify_leaf(walk.space, walk.out);
         walk.meter.note_schedule();
-        return (tm, agg);
+        opt.core.pop_feet();
+        return tm;
     }
-    // Digest dedup, optimal flavour: the replay guard of [`walk_dpor`]
-    // plus the pending-tree digest in the key — a summary transfers only
-    // between nodes owing identical reversal branches.
-    let memo_note = if walk.memo.enabled() && walk.space.checker.violation().is_none() {
-        let (tm_digest, clients) = walk
-            .space
-            .config_key(&tm)
-            .expect("dedup runs only for fingerprinting TMs");
-        let key = MemoKey {
-            tm: tm_digest,
-            clients,
-            checker: walk.space.checker.state_digest(),
-            sleep,
-            remaining: remaining as u32,
-            wut: wut.digest(),
-            faults: walk.space.fstate.key(),
-        };
-        if let Some(delta) = walk.memo.get(&key) {
-            if opt.core.steps.iter().all(|s| !s.foot.conflicts(&delta.agg)) {
-                walk.out.schedules += delta.schedules;
-                walk.out.pruned_subtrees += delta.pruned_subtrees;
-                walk.out.dedup_hits += 1;
-                return (tm, delta.agg);
-            }
-        }
-        walk.tally.memo_misses += 1;
-        Some((
-            key,
-            walk.out.schedules,
-            walk.out.exact_fallbacks,
-            walk.out.violations.len(),
-            walk.out.pruned_subtrees,
-        ))
-    } else {
-        None
-    };
-    let depth = opt.core.steps.len();
-    opt.push_node(sleep, wut, &feet[..n]);
+    opt.push_node(sleep, wut);
     // Free seeding: only a node no pending reversal targets picks an
     // arbitrary first representative. A node entered with a non-empty
     // pending tree explores exactly those branches.
     if opt.wut_is_empty(depth) {
         if let Some(first) = (0..n).find(|q| sleep & (1 << q) == 0) {
-            opt.seed(
-                depth,
-                u8::try_from(first).expect("≤ 64 processes"),
-                feet[first],
-            );
+            let foot = opt.core.node_feet(depth)[first];
+            opt.seed(depth, u8::try_from(first).expect("≤ 64 processes"), foot);
         }
     }
     while let Some(edge) = opt.pop_edge(depth) {
@@ -1215,24 +1155,10 @@ fn walk_optimal(
         }
         let mark = walk.space.mark(k);
         let (child, _) = expand_child(walk.space, walk.pool, &tm, k);
-        opt.core.push(k, feet[k]);
-        // SDPOR sleep inheritance, exactly as in [`walk_dpor`].
-        let mut child_sleep = 0u64;
-        for q in 0..n {
-            if sleep & (1 << q) != 0 && !feet[q].conflicts(&feet[k]) {
-                child_sleep |= 1 << q;
-            }
-        }
-        let (recycled, child_agg) = walk_optimal(
-            walk,
-            opt,
-            child,
-            remaining - 1,
-            child_sleep,
-            edge.sub,
-            Some(&feet),
-        );
-        agg.merge(&child_agg);
+        let feet = opt.core.node_feet(depth);
+        let (foot, child_sleep) = (feet[k], reduction::inherited_sleep(feet, sleep, k));
+        opt.core.push(k, foot);
+        let recycled = walk_optimal(walk, opt, child, remaining - 1, child_sleep, edge.sub);
         walk.pool.put_back(recycled);
         opt.core.pop();
         walk.space.rewind(k, mark);
@@ -1240,22 +1166,7 @@ fn walk_optimal(
         sleep |= 1 << k;
     }
     opt.pop_node();
-    if let Some((key, schedules, fallbacks, violations, pruned)) = memo_note {
-        if walk.out.exact_fallbacks == fallbacks
-            && walk.out.violations.len() == violations
-            && walk.meter.within()
-        {
-            walk.memo.insert(
-                key,
-                MemoDelta {
-                    schedules: walk.out.schedules - schedules,
-                    pruned_subtrees: walk.out.pruned_subtrees - pruned,
-                    agg,
-                },
-            );
-        }
-    }
-    (tm, agg)
+    tm
 }
 
 /// A node at the parallel split depth, carrying everything a worker
@@ -1326,6 +1237,8 @@ where
         // Optimal DPOR: wakeup trees over the same parallel-split
         // strategy as source sets below (exhaustive prefix tree, one
         // independent walk per root with a fresh trace).
+        // The walk keeps no memo, so dedup is off for it (see
+        // [`ExploreConfig::dedup`]).
         let n = scripts.len();
         explore_split(
             tm,
@@ -1333,21 +1246,13 @@ where
             scripts,
             config,
             SplitMode {
-                dedup,
+                dedup: false,
                 split_sleep_sets: false,
             },
             &meter,
             move |walk, tm, remaining, _sleep| {
                 let mut opt = OptimalDpor::new(n);
-                walk_optimal(
-                    walk,
-                    &mut opt,
-                    tm,
-                    remaining,
-                    0,
-                    WakeupTree::default(),
-                    None,
-                );
+                walk_optimal(walk, &mut opt, tm, remaining, 0, WakeupTree::default());
                 walk.tally.dpor_races += opt.core.races;
                 walk.tally.wakeup_inserts += opt.inserts;
                 walk.tally.wakeup_redundant += opt.redundant;
@@ -1375,7 +1280,7 @@ where
             &meter,
             move |walk, tm, remaining, _sleep| {
                 let mut dpor = Dpor::new(n);
-                walk_dpor(walk, &mut dpor, tm, remaining, 0, None);
+                walk_dpor(walk, &mut dpor, tm, remaining, 0);
                 walk.tally.dpor_races += dpor.races;
                 walk.tally.sleep_blocked += dpor.blocked;
             },

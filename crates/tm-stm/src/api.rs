@@ -129,13 +129,20 @@ impl StepFootprint {
 
     /// Whether two steps **by different processes** may not commute: the
     /// symmetric dependence relation of the partial-order reduction.
+    ///
+    /// Evaluated with non-short-circuit `|`/`&`: every term is a cheap
+    /// mask or flag test, and one branch-free expression beats a chain
+    /// of data-dependent branches in the race scans that call this per
+    /// trace step.
+    #[inline]
     pub fn conflicts(&self, other: &StepFootprint) -> bool {
-        self.var_writes & (other.var_reads | other.var_writes) != 0
-            || other.var_writes & self.var_reads != 0
-            || (self.global_write && (other.global_read || other.global_write))
-            || (other.global_write && self.global_read)
-            || (self.ends && other.begins)
-            || (other.ends && self.begins)
+        let vars = (self.var_writes & (other.var_reads | other.var_writes))
+            | (other.var_writes & self.var_reads);
+        (vars != 0)
+            | (self.global_write & (other.global_read | other.global_write))
+            | (other.global_write & self.global_read)
+            | (self.ends & other.begins)
+            | (other.ends & self.begins)
     }
 
     /// Unions `other` into `self` (the footprint of "any of these steps").
@@ -533,5 +540,57 @@ mod tests {
         assert_eq!(Outcome::Pending.response(), None);
         assert!(Outcome::Pending.is_pending());
         assert!(!Outcome::Response(Response::Aborted).is_pending());
+    }
+
+    /// The dependence relation as a chain of short-circuit tests: the
+    /// reference formula the bitwise [`StepFootprint::conflicts`] must
+    /// equal.
+    fn conflicts_reference(a: &StepFootprint, b: &StepFootprint) -> bool {
+        a.var_writes & (b.var_reads | b.var_writes) != 0
+            || b.var_writes & a.var_reads != 0
+            || (a.global_write && (b.global_read || b.global_write))
+            || (b.global_write && a.global_read)
+            || (a.ends && b.begins)
+            || (b.ends && a.begins)
+    }
+
+    #[test]
+    fn bitwise_conflicts_equal_the_short_circuit_formula() {
+        let mut s = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut begin = StepFootprint::local();
+        begin.begins = true;
+        let mut end = StepFootprint::local();
+        end.ends = true;
+        let mut feet = vec![StepFootprint::local(), StepFootprint::global(), begin, end];
+        for _ in 0..400 {
+            let bits = next();
+            // Sparse masks over a few variables, so that both outcomes
+            // of every term occur often.
+            feet.push(StepFootprint {
+                var_reads: next() & 0b1011,
+                var_writes: next() & next() & 0b0111,
+                global_read: bits & 1 != 0,
+                global_write: bits & 6 == 6,
+                ends: bits & 8 != 0,
+                begins: bits & 16 != 0,
+            });
+        }
+        let mut conflicting = 0;
+        for a in &feet {
+            for b in &feet {
+                let expected = conflicts_reference(a, b);
+                assert_eq!(a.conflicts(b), expected, "{a:?} vs {b:?}");
+                assert_eq!(b.conflicts(a), conflicts_reference(b, a), "{b:?} vs {a:?}");
+                conflicting += usize::from(expected);
+            }
+        }
+        let pairs = feet.len() * feet.len();
+        assert!(conflicting > pairs / 10 && conflicting < pairs * 9 / 10);
     }
 }

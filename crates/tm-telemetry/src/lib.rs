@@ -129,8 +129,8 @@
 //! # Timing histograms
 //!
 //! With timing enabled, [`Telemetry::timer_start`]/[`timer_stop`]
-//! record per-TM fork, refork and step durations into fixed-bucket
-//! [`Log2Histogram`]s (bucket `i` counts durations in
+//! record per-TM fork, refork, step and DPOR race-detection durations
+//! into fixed-bucket [`Log2Histogram`]s (bucket `i` counts durations in
 //! `[2^(i-1), 2^i)` nanoseconds) — no allocation, no dependencies, and
 //! a strictly bounded footprint. Timing data is wall-clock and
 //! therefore never part of [`Snapshot`] equality.
@@ -344,14 +344,19 @@ pub enum Timer {
     Refork,
     /// One scheduler step executed against the TM.
     Step,
+    /// One tree node's DPOR race detection: every process's next step
+    /// scanned against the executed trace (both DPOR walks of the
+    /// explorer).
+    DporRace,
 }
 
 impl Timer {
     /// Number of timers.
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 4;
 
     /// Every timer, in slot order.
-    pub const ALL: [Timer; Timer::COUNT] = [Timer::Fork, Timer::Refork, Timer::Step];
+    pub const ALL: [Timer; Timer::COUNT] =
+        [Timer::Fork, Timer::Refork, Timer::Step, Timer::DporRace];
 
     /// The timer's stable snake_case name.
     pub fn name(self) -> &'static str {
@@ -359,6 +364,7 @@ impl Timer {
             Timer::Fork => "fork_ns",
             Timer::Refork => "refork_ns",
             Timer::Step => "step_ns",
+            Timer::DporRace => "dpor_race_ns",
         }
     }
 }
@@ -548,7 +554,7 @@ impl Telemetry {
         telemetry
     }
 
-    /// Enables the fork/refork/step timing histograms. Construction-time
+    /// Enables the fork/refork/step/race-detection timing histograms. Construction-time
     /// option: a no-op once the handle has been cloned.
     #[must_use]
     pub fn with_timing(mut self) -> Telemetry {

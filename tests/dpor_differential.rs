@@ -465,6 +465,120 @@ fn optimal_dpor_degenerates_to_full_exploration_for_conservative_oracles() {
     assert_eq!(plain, optimal);
 }
 
+/// The 3-process shape of the explorer benchmark: two increments of
+/// `x` and a reader of both variables.
+fn three_process_scripts() -> Vec<ClientScript> {
+    vec![
+        ClientScript::increment(X),
+        ClientScript::increment(X),
+        ClientScript::read_both(X, Y),
+    ]
+}
+
+#[test]
+fn dpor_counts_are_pinned_across_the_catalogue() {
+    // Both DPOR walks are deterministic functions of the TM and the
+    // scripts, so these counts pin every decision they make: a change
+    // to race detection, wakeup-tree insertion or the vector clocks
+    // that alters any decision moves a count here, per TM. A change
+    // meant to keep the walks' decisions must keep the table.
+    use tm_telemetry::{Counter, Telemetry};
+    // (tm, optimal: schedules, races, wakeup inserts, wakeup redundant;
+    //  source sets: schedules, races, sleep-blocked executions)
+    type Row = (&'static str, usize, u64, u64, u64, usize, u64, u64);
+    const PINNED: [Row; 9] = [
+        ("fgp", 169, 559, 173, 391, 330, 947, 103),
+        ("fgp-strict", 353, 1154, 353, 802, 459, 1336, 91),
+        ("tl2", 6, 12, 5, 7, 9, 18, 2),
+        ("tinystm", 1130, 5204, 1129, 4075, 1130, 5204, 137),
+        ("swisstm", 5325, 18122, 5336, 12798, 5457, 18278, 304),
+        ("norec", 100, 302, 99, 203, 158, 425, 46),
+        ("ostm", 100, 302, 99, 203, 158, 425, 46),
+        ("dstm", 1493, 5693, 1492, 4201, 1911, 6227, 273),
+        ("global-lock", 6561, 19680, 6560, 13120, 6561, 19680, 0),
+    ];
+    let scripts = three_process_scripts();
+    assert_eq!(tm_stm::full_catalog(3, 2).len(), PINNED.len());
+    for (i, row) in PINNED.iter().enumerate() {
+        let factory = move || tm_stm::full_catalog(3, 2).swap_remove(i);
+        let name = factory().name();
+        assert_eq!(name, row.0, "catalogue order moved");
+        let run = |config: ExploreConfig| {
+            let telemetry = Telemetry::counters();
+            let report = explore_with(factory, &scripts, &config.with_telemetry(&telemetry));
+            assert!(report.all_opaque(), "{name}");
+            (report.schedules, telemetry.snapshot())
+        };
+        let (optimal, o) = run(ExploreConfig::new(8).sequential().with_optimal_dpor());
+        let (source, d) = run(ExploreConfig::new(8).sequential().with_dpor());
+        let measured: Row = (
+            name,
+            optimal,
+            o.get(Counter::DporRaces),
+            o.get(Counter::WakeupInserts),
+            o.get(Counter::WakeupRedundant),
+            source,
+            d.get(Counter::DporRaces),
+            d.get(Counter::SleepBlockedExecutions),
+        );
+        assert_eq!(measured, *row, "{name}: pinned DPOR counts moved");
+    }
+}
+
+#[test]
+fn optimal_dpor_ignores_dedup_and_never_probes_the_memo() {
+    // The optimal walk keeps no memo: a subtree cache keyed on the
+    // pending wakeup tree never hit, and a configuration-keyed one is
+    // unsound under wakeup trees without stateful DPOR. Asking for
+    // dedup must therefore change nothing — not the report, not the
+    // executed schedules — and no memo probe may happen.
+    use tm_telemetry::{Counter, Telemetry};
+    let scripts = three_process_scripts();
+    let mut factories = factories(3, 2);
+    factories.retain(|(name, _)| ["fgp", "swisstm", "fgp-literal"].contains(name));
+    for (name, factory) in factories {
+        for config in [
+            ExploreConfig::new(8).sequential(),
+            ExploreConfig::new(8).with_split_depth(2),
+        ] {
+            let config = config.with_optimal_dpor();
+            let plain = explore_with(&*factory, &scripts, &config);
+            let telemetry = Telemetry::counters();
+            let deduped = explore_with(
+                &*factory,
+                &scripts,
+                &config.clone().with_dedup().with_telemetry(&telemetry),
+            );
+            assert_eq!(plain.report(), deduped.report(), "{name}");
+            assert_eq!(plain.schedules, deduped.schedules, "{name}");
+            assert_eq!(deduped.dedup_hits, 0, "{name}");
+            let snapshot = telemetry.snapshot();
+            assert_eq!(snapshot.get(Counter::MemoHits), 0, "{name}");
+            assert_eq!(snapshot.get(Counter::MemoMisses), 0, "{name}");
+        }
+    }
+}
+
+#[test]
+fn race_detection_is_timed_only_with_timing_enabled() {
+    // `Timer::DporRace` times each node's race detection in both DPOR
+    // walks; without timing the histogram stays empty.
+    use tm_telemetry::{Telemetry, Timer};
+    let scripts = three_process_scripts();
+    let factory = || Box::new(FgpTm::new(3, 2, FgpVariant::CpOnly)) as BoxedTm;
+    for config in [
+        ExploreConfig::new(5).sequential().with_optimal_dpor(),
+        ExploreConfig::new(5).sequential().with_dpor(),
+    ] {
+        let off = Telemetry::counters();
+        explore_with(factory, &scripts, &config.clone().with_telemetry(&off));
+        assert_eq!(off.timer_total(Timer::DporRace), 0);
+        let timed = Telemetry::counters().with_timing();
+        explore_with(factory, &scripts, &config.with_telemetry(&timed));
+        assert!(timed.timer_total(Timer::DporRace) > 0);
+    }
+}
+
 #[test]
 fn livecheck_reduction_is_byte_identical_across_the_catalogue() {
     // The liveness reduction's bar is stricter than the safety
